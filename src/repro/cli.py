@@ -666,7 +666,7 @@ def _cmd_online_inspect(args) -> int:
     this release.  Corrupt files exit 2 through the shared loader.
     """
     from repro.online.checkpoint import CHECKPOINT_FORMAT
-    from repro.online.sharding import SHARDED_CHECKPOINT_FORMAT
+    from repro.online.sharding import SHARDED_CHECKPOINT_FORMAT, PartitionMap
 
     payload = _load_checkpoint_file(args.checkpoint_file)
     fmt = payload.get("format")
@@ -694,18 +694,18 @@ def _cmd_online_inspect(args) -> int:
         out["num_shards"] = payload.get("num_shards")
         out["salt"] = payload.get("salt")
         partition = payload.get("partition")
-        if isinstance(partition, dict):
+        if partition:
             # v3 manifests carry the partition-map epoch history; show
             # one compact line per epoch (epoch 0 has no consumed list).
-            epochs = partition.get("epochs") or []
+            # Parsing it first turns a malformed map into a clean error.
+            epochs = PartitionMap.from_payload(partition).epochs
             out["partition"] = {
-                "epoch": max(0, len(epochs) - 1),
+                "epoch": len(epochs) - 1,
                 "history": [
                     {
-                        "num_shards": (ep or {}).get("num_shards"),
-                        "salt": (ep or {}).get("salt"),
-                        "consumed": list((ep or {}).get("consumed") or [])
-                        or None,
+                        "num_shards": ep["num_shards"],
+                        "salt": ep["salt"],
+                        "consumed": list(ep.get("consumed") or []) or None,
                     }
                     for ep in epochs
                 ],

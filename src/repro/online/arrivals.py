@@ -829,41 +829,25 @@ def source_from_spec(spec: Dict[str, object], utility: SetFunction) -> ArrivalSo
     """Rebuild a source from its :meth:`ArrivalSource.spec` payload.
 
     The single resume entry point: handles the embedded-schedule
-    fallback (opaque seeds) and shard-filtered sources (the ``"shard"``
-    key wraps the parent in a :class:`~repro.online.sharding.ShardSource`).
+    fallback (opaque seeds) and shard lanes (the ``"shard"`` key wraps
+    the parent in its lane source, see
+    :meth:`~repro.online.sharding.LanePlanner.lane`).
     """
     if not isinstance(spec, dict) or "process" not in spec:
         raise InvalidInstanceError("checkpoint carries no rebuildable source spec")
+    if spec.get("shard"):
+        # Imported lazily: sharding imports this module.
+        from repro.online.sharding import LanePlanner
+
+        return LanePlanner().lane(spec, utility)
     if spec.get("schedule") is not None:
-        base: ArrivalSource = ScheduleSource(
+        return ScheduleSource(
             ArrivalSchedule.from_payload(spec["schedule"])  # type: ignore[arg-type]
         )
-    else:
-        base = build_arrival_source(
-            str(spec["process"]), utility, spec.get("seed"),
-            **dict(spec.get("params") or {}),  # type: ignore[arg-type]
-        )
-    shard = spec.get("shard")
-    if shard:
-        # Imported lazily: sharding imports this module.
-        from repro.online.sharding import (
-            PartitionMap,
-            ShardSource,
-            partition_lane_source,
-        )
-
-        partition = shard.get("partition")  # type: ignore[union-attr]
-        if partition is not None:
-            # A resharded lane: the spec carries the full epoch history.
-            return partition_lane_source(
-                base, int(shard["index"]),  # type: ignore[index]
-                PartitionMap.from_payload(partition),
-            )
-        return ShardSource(
-            base, int(shard["index"]), int(shard["num_shards"]),  # type: ignore[index]
-            salt=int(shard.get("salt", 0)),  # type: ignore[union-attr]
-        )
-    return base
+    return build_arrival_source(
+        str(spec["process"]), utility, spec.get("seed"),
+        **dict(spec.get("params") or {}),  # type: ignore[arg-type]
+    )
 
 
 register_arrival_source("bursty", BurstySource)

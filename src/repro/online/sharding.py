@@ -29,11 +29,15 @@ and :func:`resume_sharded_run` rebuilds exactly that state.
 
 The partition itself is an explicit, *versioned* layer: a
 :class:`PartitionMap` is an append-only list of epochs ``(num_shards,
-salt, consumed boundary)``, and lane sources consult the map at yield
-time instead of baking the hash in.  A topology change (S → S') is a
-new epoch appended by :func:`reshard_manifest`: every already-consumed
-prefix (and its hired set, decision log, and fingerprint chain) stays
-exactly where it is, pinned to its lane forever, and only the
+salt, consumed boundary)``.  Each session build (start, reshard,
+resume) routes the parent order through the map **once** —
+:meth:`PartitionMap.plan`, O(n · epochs) :func:`shard_of` calls
+independent of the lane count — and every lane source reads its slice
+of that :data:`LanePlan` instead of hashing elements itself.  A
+topology change (S → S') is a new epoch appended by
+:func:`reshard_manifest`: every already-consumed prefix (and its hired
+set, decision log, and fingerprint chain) stays exactly where it is,
+pinned to its lane forever, and only the
 unconsumed suffix is re-assigned under the newest epoch's hash.  S' = S
 with the same salt is the identity, and any S → S' → S round-trip
 re-derives the original assignment for every unconsumed element — so
@@ -46,7 +50,9 @@ from __future__ import annotations
 
 import copy
 import math
-from bisect import bisect_right
+import operator
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import (
     Callable,
     Dict,
@@ -85,6 +91,8 @@ __all__ = [
     "SHARDED_CHECKPOINT_FORMAT",
     "SHARDED_MANIFEST_SCHEMA_VERSION",
     "SUPPORTED_MANIFEST_VERSIONS",
+    "LanePlan",
+    "LanePlanner",
     "PartitionLaneSource",
     "PartitionMap",
     "ShardCounters",
@@ -106,6 +114,12 @@ __all__ = [
 SHARDED_CHECKPOINT_FORMAT = "repro-online-sharded-checkpoint/1"
 
 CanTake = Callable[[FrozenSet[Hashable], Hashable], bool]
+
+#: One routing of a parent order through a :class:`PartitionMap`
+#: (:meth:`PartitionMap.plan`): per lane, ``(pinned_positions,
+#: suffix_positions)`` int arrays, as in :meth:`PartitionMap.lane_streams`.
+#: Built once per session build and shared by every lane of it.
+LanePlan = List[Tuple[Sequence[int], Sequence[int]]]
 
 
 def shard_of(element: Hashable, num_shards: int, salt: int = 0) -> int:
@@ -179,6 +193,20 @@ def shard_schedule(
     ]
 
 
+def _strict_int(value: object, field: str) -> int:
+    """*value* as an ``int``, or an error naming *field*.
+
+    Bools and non-integers (strings, floats) are rejected rather than
+    coerced: ``true`` must not silently read as one shard.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # type: ignore[arg-type]
+        except TypeError:
+            pass
+    raise InvalidInstanceError(f"{field} must be an integer, got {value!r}")
+
+
 class PartitionMap:
     """Versioned shard assignment: an append-only history of epochs.
 
@@ -198,11 +226,20 @@ class PartitionMap:
     """
 
     def __init__(self, epochs: Sequence[Mapping[str, object]]) -> None:
+        if not isinstance(epochs, (list, tuple)):
+            raise InvalidInstanceError(
+                f"partition.epochs must be a list, got {type(epochs).__name__}"
+            )
         if not epochs:
             raise InvalidInstanceError("a partition map needs at least one epoch")
         normalized: List[Dict[str, object]] = []
         for k, epoch in enumerate(epochs):
-            num_shards = int(epoch["num_shards"])  # type: ignore[arg-type]
+            field = f"partition.epochs[{k}]"
+            if not isinstance(epoch, Mapping):
+                raise InvalidInstanceError(f"{field} must be an object")
+            if "num_shards" not in epoch:
+                raise InvalidInstanceError(f"{field}.num_shards is missing")
+            num_shards = _strict_int(epoch["num_shards"], f"{field}.num_shards")
             if num_shards < 1:
                 raise InvalidInstanceError(
                     f"partition epoch {k}: num_shards must be >= 1, "
@@ -210,7 +247,7 @@ class PartitionMap:
                 )
             entry: Dict[str, object] = {
                 "num_shards": num_shards,
-                "salt": int(epoch.get("salt", 0)),  # type: ignore[arg-type]
+                "salt": _strict_int(epoch.get("salt", 0), f"{field}.salt"),
             }
             if k == 0:
                 if epoch.get("consumed"):
@@ -225,7 +262,10 @@ class PartitionMap:
                         f"partition epoch {k} needs a per-lane 'consumed' "
                         "boundary list"
                     )
-                boundary = [int(c) for c in consumed]
+                boundary = [
+                    _strict_int(c, f"{field}.consumed[{i}]")
+                    for i, c in enumerate(consumed)
+                ]
                 if any(c < 0 for c in boundary):
                     raise InvalidInstanceError(
                         f"partition epoch {k}: negative consumed boundary "
@@ -327,23 +367,31 @@ class PartitionMap:
         **in consumption order**; *suffix_positions* are the unconsumed
         parent positions the newest epoch assigns to the lane, in parent
         order.  Every parent position lands in exactly one lane's pinned
-        or suffix list.
+        or suffix list.  The list form of :meth:`plan`.
+        """
+        return [(list(pinned), list(suffix)) for pinned, suffix in self.plan(order)]
 
-        O(n · epochs): each epoch is one pass over the parent order —
-        unpinned elements consume the lane's boundary quota front-first
-        (that *is* the order the lane consumed them in) and everything
-        past the quota re-hashes under the epoch's ``(num_shards,
-        salt)``.
+    def plan(self, order: Sequence[Hashable]) -> "LanePlan":
+        """Route the parent *order* once for every lane.
+
+        :meth:`lane_streams` with each position list packed into an
+        int array, which is what a session build shares across its
+        lanes.
+
+        O(n · epochs) :func:`shard_of` calls, independent of the lane
+        count: each epoch is one pass over the parent order — unpinned
+        elements consume the lane's boundary quota front-first (that
+        *is* the order the lane consumed them in) and everything past
+        the quota re-hashes under the epoch's ``(num_shards, salt)``.
         """
         lanes = self.lane_count()
-        order = list(order)
         first = self._epochs[0]
         lane = [
             shard_of(e, int(first["num_shards"]), int(first["salt"]))  # type: ignore[arg-type]
             for e in order
         ]
-        pinned = [False] * len(order)
-        pinned_by_lane: List[List[int]] = [[] for _ in range(lanes)]
+        pinned = bytearray(len(order))
+        pinned_by_lane = [array("q") for _ in range(lanes)]
         for k, epoch in enumerate(self._epochs[1:], start=1):
             boundary = list(epoch["consumed"])  # type: ignore[arg-type]
             quota = []
@@ -365,7 +413,7 @@ class PartitionMap:
                     continue
                 a = lane[p]
                 if quota[a] > 0:
-                    pinned[p] = True
+                    pinned[p] = 1
                     pinned_by_lane[a].append(p)
                     quota[a] -= 1
                 else:
@@ -376,23 +424,25 @@ class PartitionMap:
                     f"partition epoch {k}: consumed boundary exceeds the "
                     f"stream (lanes with unmet quota: {leftover})"
                 )
-        suffix_by_lane: List[List[int]] = [[] for _ in range(lanes)]
-        for p in range(len(order)):
+        suffix_by_lane = [array("q") for _ in range(lanes)]
+        for p, a in enumerate(lane):
             if not pinned[p]:
-                suffix_by_lane[lane[p]].append(p)
-        return [
-            (pinned_by_lane[a], suffix_by_lane[a]) for a in range(lanes)
-        ]
+                suffix_by_lane[a].append(p)
+        return list(zip(pinned_by_lane, suffix_by_lane))
 
 
 class ShardSource(ArrivalSource):
     """Lazy hash partition: one shard's view of a parent arrival source.
 
-    Filters each parent minibatch to the elements hashing to this shard
-    *at yield time* — no materialized pre-split — with shard-local
+    Keeps, of each parent minibatch, the positions its :data:`LanePlan`
+    routes to this shard — no materialized pre-split — with shard-local
     positions, batch structure, and timestamps exactly matching the
     corresponding :func:`shard_schedule` entry (the streaming ≡
     materialized equivalence suite pins shard fingerprints equal).
+    Pass the *plan* a session build shares across its lanes; without
+    one the source routes the parent order for itself.  A parent whose
+    ``order`` is ``None`` cannot be planned up front, so its elements
+    are routed one by one as they arrive.
 
     The source owns its parent exclusively: it pulls whole parent
     batches, so suspend state is the parent's O(1) state plus the
@@ -400,7 +450,7 @@ class ShardSource(ArrivalSource):
     """
 
     def __init__(self, parent: ArrivalSource, index: int, num_shards: int,
-                 *, salt: int = 0) -> None:
+                 *, salt: int = 0, plan: Optional[LanePlan] = None) -> None:
         if num_shards <= 0:
             raise InvalidInstanceError(
                 f"num_shards must be positive, got {num_shards}"
@@ -415,10 +465,14 @@ class ShardSource(ArrivalSource):
         self.num_shards = self.partition.num_shards
         self.salt = self.partition.salt
         parent_order = parent.order
+        if plan is None and parent_order is not None:
+            plan = self.partition.plan(parent_order)
+        #: Parent positions routed to this shard, ascending (``None``:
+        #: the parent has no up-front order; route per element).
+        self._positions = None if plan is None else plan[self.index][1]
         order = (
-            None if parent_order is None
-            else [e for e in parent_order
-                  if self.partition.assign(e) == self.index]
+            None if self._positions is None
+            else [parent_order[p] for p in self._positions]  # type: ignore[index]
         )
         n = None if order is None else len(order)
         super().__init__(
@@ -442,16 +496,24 @@ class ShardSource(ArrivalSource):
         """The materialized arrival order (forces lazy generation)."""
         return self._order
 
+    def _keep(self, pos0: int, batch: Sequence[Hashable]) -> List[int]:
+        """Offsets into the parent batch at *pos0* that route here."""
+        if self._positions is None:
+            return [
+                i for i, e in enumerate(batch)
+                if self.partition.assign(e) == self.index
+            ]
+        lo = bisect_left(self._positions, pos0)
+        hi = bisect_left(self._positions, pos0 + len(batch), lo)
+        return [p - pos0 for p in self._positions[lo:hi]]
+
     def _emit(self, limit: Optional[int]):
         while not self._pending:
             step = self._parent.take(None)
             if step is None:
                 return None
-            _pos0, batch, stamps = step
-            keep = [
-                i for i, e in enumerate(batch)
-                if self.partition.assign(e) == self.index
-            ]
+            pos0, batch, stamps = step
+            keep = self._keep(pos0, batch)
             if keep:
                 self._pending = [batch[i] for i in keep]
                 self._pending_ts = (
@@ -523,10 +585,14 @@ class PartitionLaneSource(ArrivalSource):
     without opening a new one.  Suspend state is the plain cursor +
     fingerprint pair — emission is purely positional, so no parent
     stream state is needed.
+
+    Pass the *plan* a session build shares across its lanes; without
+    one the lane replays the epoch history over the parent for itself.
     """
 
     def __init__(self, parent: ArrivalSource, index: int,
-                 partition: PartitionMap) -> None:
+                 partition: PartitionMap, *,
+                 plan: Optional[LanePlan] = None) -> None:
         lanes = partition.lane_count()
         if not (0 <= int(index) < lanes):
             raise InvalidInstanceError(
@@ -536,8 +602,10 @@ class PartitionLaneSource(ArrivalSource):
         self.index = int(index)
         self.partition = partition
         schedule = parent.materialize()
-        pinned, suffix = partition.lane_streams(schedule.order)[self.index]
-        positions = list(pinned) + list(suffix)
+        if plan is None:
+            plan = partition.plan(schedule.order)
+        pinned, suffix = plan[self.index]
+        positions = pinned + suffix
         order = [schedule.order[p] for p in positions]
         ts = schedule.timestamps
         stamps = None if ts is None else [float(ts[p]) for p in positions]
@@ -627,23 +695,92 @@ class PartitionLaneSource(ArrivalSource):
 
 
 def partition_lane_source(
-    parent: ArrivalSource, index: int, partition: PartitionMap
+    parent: ArrivalSource, index: int, partition: PartitionMap,
+    plan: Optional[LanePlan] = None,
 ) -> ArrivalSource:
-    """Lane *index* of *parent* under *partition*.
+    """Lane *index* of *parent* under *partition*, reading *plan*.
 
     Single-epoch maps stay on the byte-compatible fast paths — the
     parent itself for a one-shard map, :class:`ShardSource` (lazy
     filtering, old-style spec) otherwise — so never-resharded runs keep
     their exact pre-epoch checkpoints.  Multi-epoch maps build a
-    :class:`PartitionLaneSource`.
+    :class:`PartitionLaneSource`.  *plan* is the session build's shared
+    :data:`LanePlan` of *parent* under *partition* (``None``: the lane
+    routes the parent for itself).
     """
     if partition.single_epoch:
         if partition.num_shards == 1:
             return parent
         return ShardSource(
-            parent, index, partition.num_shards, salt=partition.salt
+            parent, index, partition.num_shards, salt=partition.salt,
+            plan=plan,
         )
-    return PartitionLaneSource(parent, index, partition)
+    return PartitionLaneSource(parent, index, partition, plan=plan)
+
+
+class LanePlanner:
+    """Lane sources of one session build, sharing one routing plan.
+
+    Owned by a single start, reshard or resume and dropped with it —
+    never process-global.  Lanes of one manifest wrap the same parent
+    stream under the same :class:`PartitionMap`, so the parent order
+    is routed once (:meth:`PartitionMap.plan`) and every lane
+    reads its slice; a lane whose parent spec or partition differs from
+    the previous lane's gets a plan of its own.
+    """
+
+    def __init__(self) -> None:
+        self._key: Optional[Tuple[object, object]] = None
+        self._plan: Optional[LanePlan] = None
+
+    def plan(self, parent_spec: Mapping[str, object], parent: ArrivalSource,
+             partition: PartitionMap) -> Optional[LanePlan]:
+        """The plan of *parent* (built from *parent_spec*) under *partition*.
+
+        ``None`` when the parent has no up-front order: its lanes then
+        route each element as it arrives.
+        """
+        key = (dict(parent_spec), partition.payload())
+        if key != self._key:
+            order = parent.order
+            self._key = key
+            self._plan = None if order is None else partition.plan(order)
+        return self._plan
+
+    def lane(self, spec: Mapping[str, object],
+             utility: SetFunction) -> ArrivalSource:
+        """Rebuild the lane a source *spec* with a ``"shard"`` block names.
+
+        Old-style ``{"index", "num_shards", "salt"}`` blocks rebuild a
+        :class:`ShardSource` (whatever the shard count, as they always
+        have); ``{"index", "partition"}`` blocks rebuild the lane under
+        the embedded epoch history.
+        """
+        shard = spec["shard"]
+        if not isinstance(shard, Mapping) or "index" not in shard:
+            raise InvalidInstanceError(
+                "source.shard must be an object with an 'index'"
+            )
+        parent_spec = {
+            k: v for k, v in spec.items() if k not in ("shard", "state")
+        }
+        parent = source_from_spec(parent_spec, utility)
+        index = _strict_int(shard["index"], "source.shard.index")
+        if shard.get("partition") is not None:
+            partition = PartitionMap.from_payload(shard["partition"])
+            plan = self.plan(parent_spec, parent, partition)
+            return partition_lane_source(parent, index, partition, plan)
+        if "num_shards" not in shard:
+            raise InvalidInstanceError("source.shard.num_shards is missing")
+        partition = PartitionMap.base(
+            _strict_int(shard["num_shards"], "source.shard.num_shards"),
+            _strict_int(shard.get("salt", 0), "source.shard.salt"),
+        )
+        plan = self.plan(parent_spec, parent, partition)
+        return ShardSource(
+            parent, index, partition.num_shards, salt=partition.salt,
+            plan=plan,
+        )
 
 
 class ShardView(SetFunction):
@@ -853,23 +990,25 @@ class ShardedRun:
 
         *source_factory* builds a fresh parent source per shard (each
         shard filters its own stream clone at yield time through
-        :class:`ShardSource`).  ``num_shards == 1`` feeds the parent
-        source to the single replica directly — the identity partition
-        the S=1 bit-identity pin relies on.  *policy_factory* gets
-        ``(shard_index, shard_source)``; the source exposes ``n`` like a
-        schedule does.
+        :class:`ShardSource`); the first clone's order is routed once
+        and every shard reads that shared :data:`LanePlan`.
+        ``num_shards == 1`` feeds the parent source to the single
+        replica directly — the identity partition the S=1 bit-identity
+        pin relies on.  *policy_factory* gets ``(shard_index,
+        shard_source)``; the source exposes ``n`` like a schedule does.
         """
         if num_shards <= 0:
             raise InvalidInstanceError(
                 f"num_shards must be positive, got {num_shards}"
             )
+        partition = PartitionMap.base(int(num_shards), int(salt))
+        plan: Optional[LanePlan] = None
         runs = []
         for i in range(num_shards):
             parent = source_factory()
-            src: ArrivalSource = (
-                parent if num_shards == 1
-                else ShardSource(parent, i, num_shards, salt=salt)
-            )
+            if i == 0 and num_shards > 1 and parent.order is not None:
+                plan = partition.plan(parent.order)
+            src = partition_lane_source(parent, i, partition, plan)
             view = ShardView(utility, src.order or ())
             oracle = view if oracle_factory is None else oracle_factory(i, view)
             runs.append(OnlineRun(oracle, src, policy_factory(i, src)))
@@ -1024,8 +1163,8 @@ def partition_from_manifest(manifest: Mapping[str, object]) -> PartitionMap:
     if block:
         return PartitionMap.from_payload(block)  # type: ignore[arg-type]
     return PartitionMap.base(
-        int(manifest.get("num_shards", 1)),  # type: ignore[arg-type]
-        int(manifest.get("salt", 0)),  # type: ignore[arg-type]
+        _strict_int(manifest.get("num_shards", 1), "num_shards"),
+        _strict_int(manifest.get("salt", 0), "salt"),
     )
 
 
@@ -1101,27 +1240,33 @@ def reshard_manifest(
         if c > 0:
             keep = max(keep, i + 1)
     new_entries: List[Dict[str, object]] = []
-    for i in range(keep):
-        lane_src = partition_lane_source(
-            source_from_spec(copy.deepcopy(parent_spec), utility),
-            i, new_partition,
-        )
-        if i < len(entries):
-            entry = copy.deepcopy(dict(entries[i]))
-            old_state = dict(entry["source"].get("state") or {})
-            spec = lane_src.spec()
-            spec["state"] = {
-                "cursor": int(old_state.get("cursor", entry.get("cursor", 0))),
-                "fingerprint": dict(old_state["fingerprint"]),  # type: ignore[arg-type]
-            }
-            entry["source"] = spec
-            new_entries.append(entry)
-        else:
-            if policy_factory is None:
-                raise InvalidInstanceError(
-                    f"resharding to {num_shards} shards adds lane {i}; "
-                    "a policy_factory is required to seed its entry"
-                )
+    for i, entry in enumerate(entries[:keep]):
+        # A carried lane keeps everything but its source spec, which
+        # becomes the parent spec plus the new epoch history.
+        entry = copy.deepcopy(dict(entry))
+        old_state = dict(entry["source"].get("state") or {})
+        spec = copy.deepcopy(parent_spec)
+        spec["shard"] = {"index": i, "partition": new_partition.payload()}
+        spec["state"] = {
+            "cursor": int(old_state.get("cursor", entry.get("cursor", 0))),
+            "fingerprint": dict(old_state["fingerprint"]),  # type: ignore[arg-type]
+        }
+        entry["source"] = spec
+        new_entries.append(entry)
+    if keep > len(entries):
+        # Lanes the grow adds start fresh; they alone need a source, and
+        # they share one parent and one routing of it.
+        if policy_factory is None:
+            raise InvalidInstanceError(
+                f"resharding to {num_shards} shards adds lane "
+                f"{len(entries)}; a policy_factory is required to seed "
+                "its entry"
+            )
+        parent = source_from_spec(copy.deepcopy(parent_spec), utility)
+        order = parent.order
+        plan = None if order is None else new_partition.plan(order)
+        for i in range(len(entries), keep):
+            lane_src = partition_lane_source(parent, i, new_partition, plan)
             view = ShardView(utility, lane_src.order or ())
             run = OnlineRun(view, lane_src, policy_factory(i, lane_src))
             new_entries.append(make_checkpoint(run))
@@ -1170,11 +1315,16 @@ def resume_sharded_run(
     shard_payloads = checkpoint.get("shards")
     if not isinstance(shard_payloads, list) or not shard_payloads:
         raise InvalidInstanceError("sharded checkpoint has no shard entries")
-    if len(shard_payloads) != int(checkpoint.get("num_shards", len(shard_payloads))):
+    partition = partition_from_manifest(checkpoint)
+    declared = _strict_int(
+        checkpoint.get("num_shards", len(shard_payloads)), "num_shards"
+    )
+    if len(shard_payloads) != declared:
         raise InvalidInstanceError(
-            f"sharded checkpoint manifest declares {checkpoint.get('num_shards')} "
+            f"sharded checkpoint manifest declares {declared} "
             f"shards but carries {len(shard_payloads)}"
         )
+    planner = LanePlanner()
     runs = []
     for i, shard_ck in enumerate(shard_payloads):
         source = None
@@ -1182,7 +1332,13 @@ def resume_sharded_run(
             # v2 entry: rebuild the shard's source from its spec over
             # the *base* utility (stream construction must not count as
             # oracle work), then restrict the view to its elements.
-            source = source_from_spec(shard_ck.get("source"), utility)
+            # Lanes share one routing of the parent through the planner.
+            spec = shard_ck.get("source")
+            source = (
+                planner.lane(spec, utility)
+                if isinstance(spec, dict) and spec.get("shard")
+                else source_from_spec(spec, utility)  # type: ignore[arg-type]
+            )
             order = source.order or ()
         else:
             # v1 entry (migration shim): the shard order is embedded.
@@ -1199,12 +1355,11 @@ def resume_sharded_run(
             )
         )
     limit = checkpoint.get("limit")
-    partition = partition_from_manifest(checkpoint)
     return ShardedRun(
         utility,
         runs,
         can_take=can_take,
         limit=None if limit is None else int(limit),  # type: ignore[arg-type]
-        salt=int(checkpoint.get("salt", 0)),  # type: ignore[arg-type]
+        salt=_strict_int(checkpoint.get("salt", 0), "salt"),
         partition=None if partition.single_epoch else partition,
     )
