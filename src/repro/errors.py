@@ -8,6 +8,8 @@ etc.) propagate normally.
 
 from __future__ import annotations
 
+import operator
+
 __all__ = [
     "ReproError",
     "InvalidInstanceError",
@@ -15,6 +17,8 @@ __all__ = [
     "OracleError",
     "BudgetError",
     "NotSubmodularError",
+    "strict_int",
+    "strict_str",
 ]
 
 
@@ -62,3 +66,30 @@ class NotSubmodularError(ReproError):
     def __init__(self, message: str, witness: tuple | None = None) -> None:
         super().__init__(message)
         self.witness = witness
+
+
+# -- JSON-boundary field readers --------------------------------------------
+#
+# Files (checkpoints, manifests, serve specs) are read through these so a
+# wrong type is an error naming the field, never a silent coercion.
+
+
+def strict_int(value: object, field: str) -> int:
+    """*value* as an ``int``, or an error naming *field*.
+
+    Bools and non-integers (strings, floats) are rejected rather than
+    coerced: ``true`` must not silently read as 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # type: ignore[arg-type]
+        except TypeError:
+            pass
+    raise InvalidInstanceError(f"{field} must be an integer, got {value!r}")
+
+
+def strict_str(value: object, field: str) -> str:
+    """*value* as a ``str``, or an error naming *field*."""
+    if isinstance(value, str):
+        return value
+    raise InvalidInstanceError(f"{field} must be a string, got {value!r}")

@@ -37,12 +37,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import (
+    Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple,
+)
 
 from repro.core.submodular import SetFunction
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, strict_int
 from repro.rng import as_generator, random_permutation
 
 __all__ = [
@@ -76,6 +81,9 @@ def _canonical(payload) -> str:
                       allow_nan=False)
 
 
+_CHAIN_RE = re.compile(r"[0-9a-f]{64}")
+
+
 class ArrivalFingerprint:
     """Incrementally-maintained content hash of an arrival stream.
 
@@ -97,8 +105,8 @@ class ArrivalFingerprint:
             chain = hashlib.sha256(
                 _canonical(self._header).encode("utf-8")
             ).hexdigest()
-        self._chain = str(chain)
-        self._count = int(count)
+        self._chain = chain
+        self._count = count
 
     @classmethod
     def for_stream(cls, process: str, seed, params: Dict[str, object],
@@ -114,11 +122,42 @@ class ArrivalFingerprint:
     def update(self, element: Hashable, new_batch: bool,
                timestamp: Optional[float]) -> None:
         """Extend the chain with one revealed arrival."""
-        record = _canonical([repr(element), bool(new_batch), timestamp])
-        self._chain = hashlib.sha256(
-            (self._chain + record).encode("utf-8")
-        ).hexdigest()
-        self._count += 1
+        self.extend(
+            (element,), new_batch, None if timestamp is None else (timestamp,)
+        )
+
+    def extend(self, elements: Sequence[Hashable], starts_batch: bool,
+               stamps: Optional[Sequence[Optional[float]]]) -> None:
+        """Fold one consumed slice into the chain: one SHA-256 step per arrival.
+
+        *starts_batch* marks the slice's first arrival as opening a
+        minibatch (the rest never do); *stamps* holds one timestamp per
+        element, or is ``None``.  Each record is exactly
+        ``_canonical([repr(element), new_batch, timestamp])``, built by
+        hand: the ASCII-escaped repr, a ``true``/``false`` literal, and
+        ``null`` or ``float.__repr__`` — what ``json.dumps`` emits for a
+        finite float, subclasses included.  Any other timestamp (ints,
+        bools, NaN, infinities) goes through ``_canonical`` itself, so
+        non-finite values raise the same ``ValueError``.  The chain is
+        committed only after the whole slice encodes.
+        """
+        chain = self._chain
+        flag = "true" if starts_batch else "false"
+        ts = None
+        for i, element in enumerate(elements):
+            if stamps is not None:
+                ts = stamps[i]
+            if ts is None:
+                record = f"[{encode_basestring_ascii(repr(element))},{flag},null]"
+            elif isinstance(ts, float) and math.isfinite(ts):
+                record = (f"[{encode_basestring_ascii(repr(element))},{flag},"
+                          f"{float.__repr__(ts)}]")
+            else:
+                record = _canonical([repr(element), flag == "true", ts])
+            chain = hashlib.sha256(f"{chain}{record}".encode()).hexdigest()
+            flag = "false"
+        self._chain = chain
+        self._count += len(elements)
 
     @property
     def digest(self) -> str:
@@ -135,10 +174,23 @@ class ArrivalFingerprint:
         return {"chain": self._chain, "count": self._count}
 
     @classmethod
-    def from_state(cls, header: Dict[str, object],
-                   state: Dict[str, object]) -> "ArrivalFingerprint":
-        """Resume a chain from its checkpointed (chain, count) state."""
-        return cls(header, chain=str(state["chain"]), count=int(state["count"]))  # type: ignore[arg-type]
+    def from_state(cls, header: Dict[str, object], state: object, *,
+                   field: str = "fingerprint") -> "ArrivalFingerprint":
+        """Resume a chain from its checkpointed (chain, count) state.
+
+        Strict: the chain must be 64 lowercase hex characters and the
+        count a non-bool integer; errors name the field under *field*.
+        """
+        if not isinstance(state, Mapping):
+            raise InvalidInstanceError(f"{field} must be an object, got {state!r}")
+        chain = state.get("chain")
+        if not isinstance(chain, str) or not _CHAIN_RE.fullmatch(chain):
+            raise InvalidInstanceError(
+                f"{field}.chain must be 64 lowercase hex characters, "
+                f"got {chain!r}"
+            )
+        count = strict_int(state.get("count"), f"{field}.count")
+        return cls(header, chain=chain, count=count)
 
 
 @dataclass
@@ -242,14 +294,13 @@ class ArrivalSchedule:
         stream reaches the same digest without ever materializing.
         """
         fp = ArrivalFingerprint.for_stream(self.process, self.seed, self.params)
+        ts = self.timestamps
         pos = 0
         for size in self.batch_sizes:
-            for i in range(pos, pos + size):
-                fp.update(
-                    self.order[i], i == pos,
-                    None if self.timestamps is None else self.timestamps[i],
-                )
-            pos += size
+            end = pos + size
+            fp.extend(self.order[pos:end], True,
+                      None if ts is None else ts[pos:end])
+            pos = end
         return fp.digest
 
 
@@ -531,7 +582,9 @@ class ArrivalSource:
     def _emit(self, limit: Optional[int]):
         """Next ``(elements, timestamps_or_None, starts_new_batch)`` slice
         of at most *limit* arrivals, never crossing a batch boundary;
-        ``None`` when drained.  Must not advance the public cursor."""
+        ``None`` when drained.  Must not advance the public cursor.  The
+        slices must be fresh (not views of mutable source state):
+        :meth:`take` hands them to the caller as they are."""
         raise NotImplementedError
 
     def take(self, limit: Optional[int] = None):
@@ -548,14 +601,10 @@ class ArrivalSource:
         if emitted is None:
             return None
         elements, stamps, starts_batch = emitted
+        self._fp.extend(elements, starts_batch, stamps)
         pos0 = self._cursor
-        for i, element in enumerate(elements):
-            self._fp.update(
-                element, bool(starts_batch) and i == 0,
-                None if stamps is None else stamps[i],
-            )
         self._cursor = pos0 + len(elements)
-        return pos0, list(elements), (None if stamps is None else list(stamps))
+        return pos0, elements, stamps
 
     def batches(self) -> Iterator[Tuple[int, List[Hashable]]]:
         """Drain the remaining stream one whole minibatch at a time."""
@@ -602,7 +651,7 @@ class ArrivalSource:
     def _extra_state(self) -> Dict[str, object]:
         return {}
 
-    def _restore_extra(self, state: Dict[str, object]) -> None:
+    def _restore_extra(self, state: Mapping[str, object], field: str) -> None:
         pass
 
     def state_dict(self) -> Dict[str, object]:
@@ -614,24 +663,39 @@ class ArrivalSource:
         state.update(self._extra_state())
         return state
 
-    def restore(self, state: Dict[str, object]) -> None:
-        """O(1) resume: jump to the saved cursor without replaying."""
-        cursor = int(state["cursor"])  # type: ignore[arg-type]
+    def restore(self, state: Mapping[str, object], *,
+                field: str = "source.state") -> None:
+        """O(1) resume: jump to the saved cursor without replaying.
+
+        The state is checked strictly, errors naming the field under
+        *field*: the cursor must lie inside the stream, and the
+        fingerprint chain must have hashed exactly ``cursor`` arrivals.
+        """
+        if not isinstance(state, Mapping):
+            raise InvalidInstanceError(f"{field} must be an object, got {state!r}")
+        cursor = strict_int(state.get("cursor"), f"{field}.cursor")
         if cursor < 0 or (self._n is not None and cursor > self._n):
             raise InvalidInstanceError(
                 f"cursor {cursor} outside stream of {self._n}"
             )
-        self._cursor = cursor
-        self._fp = ArrivalFingerprint.from_state(
+        fp = ArrivalFingerprint.from_state(
             {
                 "format": FINGERPRINT_FORMAT,
                 "process": self.process,
                 "seed": self.seed,
                 "params": dict(self.params),
             },
-            state["fingerprint"],  # type: ignore[arg-type]
+            state.get("fingerprint"),
+            field=f"{field}.fingerprint",
         )
-        self._restore_extra(state)
+        if fp.count != cursor:
+            raise InvalidInstanceError(
+                f"{field}.fingerprint.count {fp.count} does not match "
+                f"{field}.cursor {cursor}"
+            )
+        self._cursor = cursor
+        self._fp = fp
+        self._restore_extra(state, field)
 
     def fingerprint(self) -> str:
         """Digest of the consumed prefix (= the schedule fingerprint
@@ -748,7 +812,7 @@ class BurstySource(ArrivalSource):
             "rng_state": self._gen.bit_generator.state,
         }
 
-    def _restore_extra(self, state: Dict[str, object]) -> None:
+    def _restore_extra(self, state: Mapping[str, object], field: str) -> None:
         self._batch_end = int(state["batch_end"])  # type: ignore[arg-type]
         self._gen.bit_generator.state = state["rng_state"]
 

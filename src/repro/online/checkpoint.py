@@ -375,13 +375,12 @@ def _resume_v1(
         )
     run = OnlineRun(utility, ScheduleSource(schedule), policy)
     run.seek(cursor)
-    for element in schedule.order[:cursor]:
-        run.oracle.reveal(element)
+    run.oracle.reveal_many(schedule.order[:cursor])
     policy.load_state(checkpoint["policy"]["state"])  # type: ignore[index]
     position = {e: i for i, e in enumerate(schedule.order)}
     hired = frozenset(policy.hired_set())
     run.decisions = sorted(
         ([position[e], e] for e in hired), key=lambda d: d[0]
     )
-    run._hired_logged = hired
+    run._hired_count = len(hired)
     return run

@@ -72,7 +72,10 @@ class OnlineRun:
         #: hire order.  This (plus policy state) is what checkpoints
         #: persist — O(selected), not O(arrived).
         self.decisions: List[List] = []
-        self._hired_logged: frozenset = frozenset()
+        #: Hires already in the decision log.  Hires are append-only,
+        #: so a changed ``policy.hire_count()`` is the only new-hire
+        #: signal a batch needs.
+        self._hired_count = 0
         self._result = None
         policy.bind(self.oracle, source.n)
 
@@ -101,23 +104,22 @@ class OnlineRun:
     # -- execution -------------------------------------------------------
 
     def _consume(self, pos0: int, batch: Sequence[Hashable]) -> None:
-        for a in batch:
-            self.oracle.reveal(a)
+        self.oracle.reveal_many(batch)
         if len(batch) == 1:
             self.policy.observe(pos0, batch[0])
         else:
-            self.policy.observe_batch(pos0, list(batch))
-        self._log_decisions(pos0, batch)
+            self.policy.observe_batch(pos0, batch)
+        if self.policy.hire_count() != self._hired_count:
+            self._log_decisions(pos0, batch)
 
     def _log_decisions(self, pos0: int, batch: Sequence[Hashable]) -> None:
-        hired = frozenset(self.policy.hired_set())
-        if hired == self._hired_logged:
-            return
-        new = hired - self._hired_logged
+        # Every arrival is observed once, so a hire made by this batch
+        # is one of its elements, and none of them was hired before.
+        hired = self.policy.hired_set()
         for i, a in enumerate(batch):
-            if a in new:
+            if a in hired:
                 self.decisions.append([pos0 + i, a])
-        self._hired_logged = hired
+        self._hired_count = self.policy.hire_count()
 
     def feed(self, pos0: int, batch: Sequence[Hashable]) -> "OnlineRun":
         """Consume one externally-pulled batch (the serving push path).
@@ -173,14 +175,14 @@ class OnlineRun:
         return {
             "policy": json.loads(json.dumps(self.policy.state_dict())),
             "decisions": [list(d) for d in self.decisions],
-            "hired": self._hired_logged,
+            "hired": self._hired_count,
         }
 
     def rollback(self, snap: Mapping[str, object]) -> None:
         """Restore a :meth:`snapshot` taken before a failed feed.
 
         Reinstates the policy state machine, the decision log, and the
-        hired-set watermark.  The arrival oracle needs no rollback —
+        hire-count watermark.  The arrival oracle needs no rollback —
         ``reveal`` is an idempotent set-add, and the retried feed
         re-reveals the same batch.  Counting-oracle rollback is the
         caller's job (the serving loop snapshots ``calls`` alongside),
@@ -189,7 +191,7 @@ class OnlineRun:
         """
         self.policy.load_state(json.loads(json.dumps(snap["policy"])))
         self.decisions = [list(d) for d in snap["decisions"]]  # type: ignore[union-attr]
-        self._hired_logged = frozenset(snap["hired"])  # type: ignore[arg-type]
+        self._hired_count = int(snap["hired"])  # type: ignore[arg-type]
         self._result = None
 
     # -- resume ----------------------------------------------------------
@@ -217,17 +219,16 @@ class OnlineRun:
         source_block = checkpoint.get("source")
         if not isinstance(source_block, Mapping) or "state" not in source_block:
             raise InvalidInstanceError("checkpoint carries no source state")
-        self.source.restore(dict(source_block["state"]))  # type: ignore[arg-type]
+        self.source.restore(source_block["state"])  # type: ignore[arg-type]
         if self.source.cursor != cursor:
             raise InvalidInstanceError(
                 f"cursor {cursor} does not match the source state's "
                 f"cursor {self.source.cursor}"
             )
-        for element in checkpoint.get("frontier", ()):  # type: ignore[union-attr]
-            self.oracle.reveal(element)
+        self.oracle.reveal_many(checkpoint.get("frontier", ()))  # type: ignore[arg-type]
         self.decisions = [list(d) for d in checkpoint.get("decisions", ())]  # type: ignore[union-attr]
         self.policy.load_state(checkpoint["policy"]["state"])  # type: ignore[index]
-        self._hired_logged = frozenset(self.policy.hired_set())
+        self._hired_count = self.policy.hire_count()
         self._result = None
 
     def result(self):

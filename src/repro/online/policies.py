@@ -160,6 +160,14 @@ class OnlinePolicy(abc.ABC):
         """Elements hired so far (drives the run's decision log)."""
         return frozenset()
 
+    def hire_count(self) -> int:
+        """``len(hired_set())``, which the driver polls after every batch.
+
+        Hires are append-only, so a changed count is how the driver
+        detects a new hire; policies override this with an O(1) count.
+        """
+        return len(self.hired_set())
+
     def frontier(self) -> List[Hashable]:
         """Elements a resumed run must re-reveal to its fresh oracle.
 
@@ -436,6 +444,10 @@ class SegmentedSubmodularPolicy(OnlinePolicy):
         """The policy's current hired set."""
         return frozenset(getattr(self, "_selected_set", ()))
 
+    def hire_count(self) -> int:
+        """Number of hires so far (O(1))."""
+        return len(getattr(self, "_selected_set", ()))
+
     # -- checkpoint codec ----------------------------------------------
 
     def config_dict(self) -> Dict[str, object]:
@@ -586,6 +598,10 @@ class BestSingletonPolicy(OnlinePolicy):
         hired = getattr(self, "_hired", None)
         return frozenset() if hired is None else frozenset({hired})
 
+    def hire_count(self) -> int:
+        """Number of hires so far (O(1))."""
+        return 0 if getattr(self, "_hired", None) is None else 1
+
     def finish(self) -> SecretaryResult:
         """Finalize at end of stream and return the result object."""
         selected = frozenset() if self._hired is None else frozenset({self._hired})
@@ -667,6 +683,10 @@ class RobustTopKPolicy(OnlinePolicy):
     def hired_set(self) -> FrozenSet[Hashable]:
         """The policy's current hired set."""
         return frozenset(getattr(self, "_selected", ()))
+
+    def hire_count(self) -> int:
+        """Number of hires so far (O(1))."""
+        return len(getattr(self, "_selected", ()))
 
     def config_dict(self) -> Dict[str, object]:
         """JSON-able constructor config; inverse of :meth:`from_config`."""
@@ -750,6 +770,10 @@ class BottleneckPolicy(OnlinePolicy):
     def hired_set(self) -> FrozenSet[Hashable]:
         """The policy's current hired set."""
         return frozenset(getattr(self, "_selected", ()))
+
+    def hire_count(self) -> int:
+        """Number of hires so far (O(1))."""
+        return len(getattr(self, "_selected", ()))
 
     def config_dict(self) -> Dict[str, object]:
         """JSON-able constructor config; inverse of :meth:`from_config`."""
@@ -881,6 +905,12 @@ class KnapsackSecretaryPolicy(OnlinePolicy):
             return self._singleton.hired_set()
         return frozenset(getattr(self, "_selected", ()))
 
+    def hire_count(self) -> int:
+        """Number of hires so far (O(1))."""
+        if self.heads:
+            return self._singleton.hire_count()
+        return len(getattr(self, "_selected", ()))
+
     def frontier(self) -> List[Hashable]:
         # The tails rule keeps its observation half queryable: it runs
         # the offline estimate over ``_first_half`` when the collect
@@ -987,6 +1017,10 @@ class SubadditiveSegmentPolicy(OnlinePolicy):
         """The policy's current hired set."""
         return frozenset(getattr(self, "_selected", ()))
 
+    def hire_count(self) -> int:
+        """Number of hires so far (O(1))."""
+        return len(getattr(self, "_selected", ()))
+
     def config_dict(self) -> Dict[str, object]:
         """JSON-able constructor config; inverse of :meth:`from_config`."""
         return {"k": self.k, "target": self.target}
@@ -1076,6 +1110,11 @@ class MatroidSecretaryPolicy(OnlinePolicy):
         """The policy's current hired set."""
         inner = getattr(self, "_inner", None)
         return frozenset() if inner is None else inner.hired_set()
+
+    def hire_count(self) -> int:
+        """Number of hires so far (O(1))."""
+        inner = getattr(self, "_inner", None)
+        return 0 if inner is None else inner.hire_count()
 
     def frontier(self) -> List[Hashable]:
         """Elements a resumed policy may still query (hires + pending)."""

@@ -65,7 +65,7 @@ import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.oracle import CountingOracle
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, strict_int, strict_str
 from repro.online.checkpoint import (
     IdleCheckpointPolicy,
     read_tenant_checkpoint,
@@ -116,6 +116,10 @@ _SPEC_FIELDS = (
     "process_params",
     "shards",
 )
+
+#: Spec fields read as non-bool ints / as strings at the JSON boundary.
+_INT_FIELDS = frozenset({"n", "k", "seed", "aux", "n_knapsacks", "shards"})
+_STR_FIELDS = frozenset({"policy", "family", "process", "distribution"})
 
 OnDecision = Callable[[str, int, object], None]
 
@@ -171,24 +175,48 @@ class TenantSpec:
         cls,
         payload: Mapping[str, object],
         defaults: Optional[Mapping[str, object]] = None,
+        *,
+        where: str = "tenant",
     ) -> "TenantSpec":
         """Build a spec from a JSON object, merged over *defaults*.
 
         Unknown keys are rejected (a typoed field silently reverting to
-        its default would change the tenant's stream).
+        its default would change the tenant's stream), and so are wrong
+        types: counts and seeds must be non-bool ints, names strings,
+        ``process_params`` an object.  Errors name the field as
+        ``<where>.<key>`` (or ``defaults.<key>`` when the value came
+        from the defaults block).
         """
         merged: Dict[str, object] = dict(defaults or {})
         merged.update(payload)
+
+        def field(key: str) -> str:
+            """Where *key*'s value came from, for error messages."""
+            return f"{where}.{key}" if key in payload else f"defaults.{key}"
+
         tenant_id = merged.pop("id", None)
         if tenant_id is None:
             raise InvalidInstanceError("tenant spec needs an 'id' field")
+        if not isinstance(tenant_id, str) or not tenant_id:
+            raise InvalidInstanceError(
+                f"{field('id')} must be a non-empty string, got {tenant_id!r}"
+            )
         unknown = sorted(set(merged) - set(_SPEC_FIELDS))
         if unknown:
             raise InvalidInstanceError(
                 f"tenant {tenant_id!r}: unknown spec fields {unknown}; "
                 f"known: {sorted(_SPEC_FIELDS)}"
             )
-        return cls(str(tenant_id), **merged)  # type: ignore[arg-type]
+        for key, value in merged.items():
+            if key in _INT_FIELDS:
+                strict_int(value, field(key))
+            elif key in _STR_FIELDS:
+                strict_str(value, field(key))
+            elif key == "process_params" and not isinstance(value, Mapping):
+                raise InvalidInstanceError(
+                    f"{field(key)} must be an object, got {value!r}"
+                )
+        return cls(tenant_id, **merged)  # type: ignore[arg-type]
 
     def start(
         self,
@@ -254,20 +282,26 @@ def load_tenant_specs(payload: object) -> List[TenantSpec]:
     tenants = payload.get("tenants") or []
     if not isinstance(tenants, list):
         raise InvalidInstanceError("'tenants' must be a list")
-    for entry in tenants:
+    for i, entry in enumerate(tenants):
         if not isinstance(entry, Mapping):
             raise InvalidInstanceError("each tenant entry must be an object")
-        specs.append(TenantSpec.from_mapping(entry, defaults))
+        specs.append(TenantSpec.from_mapping(entry, defaults,
+                                             where=f"tenants[{i}]"))
     replicate = payload.get("replicate")
     if replicate is not None:
         if not isinstance(replicate, Mapping):
             raise InvalidInstanceError("'replicate' must be an object")
         replicate = dict(replicate)
-        count = int(replicate.pop("count", 0))  # type: ignore[arg-type]
+        count = strict_int(replicate.pop("count", 0), "replicate.count")
         if count < 1:
             raise InvalidInstanceError("'replicate.count' must be >= 1")
-        id_format = str(replicate.pop("id_format", "tenant-{index:04d}"))
-        seed_start = int(replicate.pop("seed_start", 0))  # type: ignore[arg-type]
+        id_format = strict_str(
+            replicate.pop("id_format", "tenant-{index:04d}"),
+            "replicate.id_format",
+        )
+        seed_start = strict_int(
+            replicate.pop("seed_start", 0), "replicate.seed_start"
+        )
         for index in range(count):
             seed = seed_start + index
             entry = {
@@ -275,7 +309,8 @@ def load_tenant_specs(payload: object) -> List[TenantSpec]:
                 "id": id_format.format(index=index, seed=seed),
                 "seed": seed,
             }
-            specs.append(TenantSpec.from_mapping(entry, defaults))
+            specs.append(TenantSpec.from_mapping(entry, defaults,
+                                                 where="replicate"))
     if not specs:
         raise InvalidInstanceError("serve spec declares no tenants")
     seen: Dict[str, int] = {}

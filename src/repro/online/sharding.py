@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import (
@@ -69,7 +68,7 @@ from typing import (
 from repro.core.kernels import evaluator_for
 from repro.core.oracle import CountingOracle
 from repro.core.submodular import SetFunction
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, strict_int
 from repro.online.arrivals import (
     ArrivalSchedule,
     ArrivalSource,
@@ -193,20 +192,6 @@ def shard_schedule(
     ]
 
 
-def _strict_int(value: object, field: str) -> int:
-    """*value* as an ``int``, or an error naming *field*.
-
-    Bools and non-integers (strings, floats) are rejected rather than
-    coerced: ``true`` must not silently read as one shard.
-    """
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)  # type: ignore[arg-type]
-        except TypeError:
-            pass
-    raise InvalidInstanceError(f"{field} must be an integer, got {value!r}")
-
-
 class PartitionMap:
     """Versioned shard assignment: an append-only history of epochs.
 
@@ -239,7 +224,7 @@ class PartitionMap:
                 raise InvalidInstanceError(f"{field} must be an object")
             if "num_shards" not in epoch:
                 raise InvalidInstanceError(f"{field}.num_shards is missing")
-            num_shards = _strict_int(epoch["num_shards"], f"{field}.num_shards")
+            num_shards = strict_int(epoch["num_shards"], f"{field}.num_shards")
             if num_shards < 1:
                 raise InvalidInstanceError(
                     f"partition epoch {k}: num_shards must be >= 1, "
@@ -247,7 +232,7 @@ class PartitionMap:
                 )
             entry: Dict[str, object] = {
                 "num_shards": num_shards,
-                "salt": _strict_int(epoch.get("salt", 0), f"{field}.salt"),
+                "salt": strict_int(epoch.get("salt", 0), f"{field}.salt"),
             }
             if k == 0:
                 if epoch.get("consumed"):
@@ -263,7 +248,7 @@ class PartitionMap:
                         "boundary list"
                     )
                 boundary = [
-                    _strict_int(c, f"{field}.consumed[{i}]")
+                    strict_int(c, f"{field}.consumed[{i}]")
                     for i, c in enumerate(consumed)
                 ]
                 if any(c < 0 for c in boundary):
@@ -550,8 +535,8 @@ class ShardSource(ArrivalSource):
             "pending_new": self._pending_new,
         }
 
-    def _restore_extra(self, state: Dict[str, object]) -> None:
-        self._parent.restore(dict(state["parent"]))  # type: ignore[arg-type]
+    def _restore_extra(self, state: Mapping[str, object], field: str) -> None:
+        self._parent.restore(state.get("parent"), field=f"{field}.parent")  # type: ignore[arg-type]
         self._pending = list(state.get("pending") or [])
         ts = state.get("pending_ts")
         self._pending_ts = None if ts is None else [float(t) for t in ts]  # type: ignore[union-attr]
@@ -765,7 +750,7 @@ class LanePlanner:
             k: v for k, v in spec.items() if k not in ("shard", "state")
         }
         parent = source_from_spec(parent_spec, utility)
-        index = _strict_int(shard["index"], "source.shard.index")
+        index = strict_int(shard["index"], "source.shard.index")
         if shard.get("partition") is not None:
             partition = PartitionMap.from_payload(shard["partition"])
             plan = self.plan(parent_spec, parent, partition)
@@ -773,8 +758,8 @@ class LanePlanner:
         if "num_shards" not in shard:
             raise InvalidInstanceError("source.shard.num_shards is missing")
         partition = PartitionMap.base(
-            _strict_int(shard["num_shards"], "source.shard.num_shards"),
-            _strict_int(shard.get("salt", 0), "source.shard.salt"),
+            strict_int(shard["num_shards"], "source.shard.num_shards"),
+            strict_int(shard.get("salt", 0), "source.shard.salt"),
         )
         plan = self.plan(parent_spec, parent, partition)
         return ShardSource(
@@ -1163,8 +1148,8 @@ def partition_from_manifest(manifest: Mapping[str, object]) -> PartitionMap:
     if block:
         return PartitionMap.from_payload(block)  # type: ignore[arg-type]
     return PartitionMap.base(
-        _strict_int(manifest.get("num_shards", 1), "num_shards"),
-        _strict_int(manifest.get("salt", 0), "salt"),
+        strict_int(manifest.get("num_shards", 1), "num_shards"),
+        strict_int(manifest.get("salt", 0), "salt"),
     )
 
 
@@ -1316,7 +1301,7 @@ def resume_sharded_run(
     if not isinstance(shard_payloads, list) or not shard_payloads:
         raise InvalidInstanceError("sharded checkpoint has no shard entries")
     partition = partition_from_manifest(checkpoint)
-    declared = _strict_int(
+    declared = strict_int(
         checkpoint.get("num_shards", len(shard_payloads)), "num_shards"
     )
     if len(shard_payloads) != declared:
@@ -1360,6 +1345,6 @@ def resume_sharded_run(
         runs,
         can_take=can_take,
         limit=None if limit is None else int(limit),  # type: ignore[arg-type]
-        salt=_strict_int(checkpoint.get("salt", 0), "salt"),
+        salt=strict_int(checkpoint.get("salt", 0), "salt"),
         partition=None if partition.single_epoch else partition,
     )

@@ -117,6 +117,10 @@ class ArrivalOracle(SetFunction):
         """Mark *element* as interviewed (called by the stream only)."""
         self._arrived.add(element)
 
+    def reveal_many(self, elements: Iterable[Hashable]) -> None:
+        """Mark a whole revealed minibatch as interviewed in one update."""
+        self._arrived.update(elements)
+
     def value(self, subset: FrozenSet[Hashable]) -> float:
         subset = frozenset(subset)
         hidden = subset - self._arrived

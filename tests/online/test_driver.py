@@ -11,7 +11,12 @@ from repro.online.arrivals import (
     build_arrival_schedule,
 )
 from repro.online.driver import OnlineRun, run_online
-from repro.online.policies import BestSingletonPolicy, SegmentedSubmodularPolicy
+from repro.online.policies import (
+    BestSingletonPolicy,
+    OnlinePolicy,
+    SegmentedSubmodularPolicy,
+)
+from repro.online.session import SESSION_POLICIES, start_session
 from repro.workloads.secretary_streams import (
     additive_values,
     coverage_utility,
@@ -71,6 +76,52 @@ class TestOnlineRun:
         schedule = build_arrival_schedule("uniform", fn, 1)
         result = run_online(fn, schedule, SegmentedSubmodularPolicy(3))
         assert 1 <= len(result.selected) <= 3
+
+
+class _DefaultCountPolicy(SegmentedSubmodularPolicy):
+    """Uses the base class's ``len(hired_set())`` hire count."""
+
+    hire_count = OnlinePolicy.hire_count
+
+
+class TestDecisionLog:
+    def test_default_hire_count_logs_the_same_decisions(self, fn):
+        schedule = build_arrival_schedule("bursty", fn, 4, mean_batch=3.0)
+        fast = OnlineRun(fn, schedule, SegmentedSubmodularPolicy(4)).run()
+        slow = OnlineRun(fn, schedule, _DefaultCountPolicy(4)).run()
+        assert fast.decisions and fast.decisions == slow.decisions
+
+    @pytest.mark.parametrize("policy", SESSION_POLICIES)
+    def test_hire_count_tracks_the_hired_set(self, policy):
+        session = start_session(policy=policy, family="coverage", n=30, k=3,
+                                seed=6, process="bursty")
+        run = session.run
+        while not run.finished:
+            run.run(4)
+            hired = run.policy.hired_set()
+            assert run.policy.hire_count() == len(hired)
+            assert sorted(e for _, e in run.decisions) == sorted(hired)
+            for pos, element in run.decisions:
+                assert run.source.order[pos] == element
+
+    def test_rollback_restores_the_watermark(self, fn):
+        schedule = build_arrival_schedule("bursty", fn, 4, mean_batch=3.0)
+        whole = OnlineRun(fn, schedule, SegmentedSubmodularPolicy(4)).run()
+        run = OnlineRun(fn, schedule, SegmentedSubmodularPolicy(4))
+        rolled_back = 0
+        while True:
+            step = run.source.take(None)
+            if step is None:
+                break
+            pos0, batch, _ = step
+            snap = run.snapshot()
+            run.feed(pos0, batch)
+            if len(run.decisions) != len(snap["decisions"]):
+                run.rollback(snap)  # a retried hiring batch logs once
+                rolled_back += 1
+                run.feed(pos0, batch)
+        assert rolled_back
+        assert run.decisions == whole.decisions
 
 
 class TestBatchSequentialEquivalence:

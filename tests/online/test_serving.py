@@ -292,6 +292,37 @@ class TestSpecLoading:
         with pytest.raises(InvalidInstanceError, match="no tenants"):
             load_tenant_specs({"tenants": []})
 
+    @pytest.mark.parametrize("payload,field", [
+        ([{"id": "a", "n": "x"}], "tenants[0].n"),
+        ([{"id": "a", "seed": "abc"}], "tenants[0].seed"),
+        ([{"id": "a", "process_params": [1]}], "tenants[0].process_params"),
+        ([{"id": "a"}, {"id": "b", "n": 3.7}], "tenants[1].n"),
+        ([{"id": "a", "n": True}], "tenants[0].n"),
+        ([{"id": 5}], "tenants[0].id"),
+        ([{"id": ""}], "tenants[0].id"),
+        ({"replicate": {"count": "2"}}, "replicate.count"),
+        ({"replicate": {"count": 2, "seed_start": 1.5}},
+         "replicate.seed_start"),
+        ({"replicate": {"count": 2, "id_format": 7}}, "replicate.id_format"),
+        ({"replicate": {"count": 2, "k": "3"}}, "replicate.k"),
+        ({"defaults": {"shards": False}, "tenants": [{"id": "a"}]},
+         "defaults.shards"),
+        ([{"id": "a", "policy": 1}], "tenants[0].policy"),
+        ([{"id": "a", "family": None}], "tenants[0].family"),
+        ([{"id": "a", "process": ["uniform"]}], "tenants[0].process"),
+        ([{"id": "a", "distribution": 0}], "tenants[0].distribution"),
+        ([{"id": "a", "aux": "1"}], "tenants[0].aux"),
+        ([{"id": "a", "n_knapsacks": 2.0}], "tenants[0].n_knapsacks"),
+    ])
+    def test_wrong_field_types_name_the_field(self, payload, field):
+        with pytest.raises(InvalidInstanceError) as info:
+            load_tenant_specs(payload)
+        assert str(info.value).startswith(field)
+
+    def test_int_fields_are_not_coerced(self):
+        spec = load_tenant_specs([{"id": "a", "n": 12, "seed": 3}])[0]
+        assert (spec.n, spec.seed) == (12, 3)
+
     def test_workload_key_splits_on_workload_fields_only(self):
         base = {"family": "additive", "n": 10, "aux": 0, "seed": 1,
                 "distribution": "uniform", "policy": "monotone"}
@@ -345,6 +376,22 @@ class TestServeCLI:
         bad.write_text("{nope", encoding="utf-8")
         assert main(["online", "serve", str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload,field", [
+        ([{"id": "a", "n": "x"}], "tenants[0].n"),
+        ([{"id": "a", "seed": "abc"}], "tenants[0].seed"),
+        ([{"id": "a", "process_params": [1]}], "tenants[0].process_params"),
+        ([{"id": "a", "n": 3.7}], "tenants[0].n"),
+        ([{"id": "a", "n": True}], "tenants[0].n"),
+        ([{"id": 5}], "tenants[0].id"),
+        ({"replicate": {"count": "2"}}, "replicate.count"),
+    ])
+    def test_wrong_spec_types_exit_2(self, tmp_path, capsys, payload, field):
+        spec = self.write_spec(tmp_path, payload)
+        assert main(["online", "serve", spec]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
 
     def test_idle_seconds_requires_checkpoint_dir(self, tmp_path, capsys):
         spec = self.write_spec(tmp_path, [{"id": "a"}])

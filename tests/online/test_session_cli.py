@@ -185,6 +185,42 @@ class TestShardedCLI:
         assert main(["online", "resume", ck]) == 2
         assert "schema version 99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,field", [
+        ("chain", 5, "source.state.fingerprint.chain"),
+        ("count", True, "source.state.fingerprint.count"),
+        ("count", "x", "source.state.fingerprint.count"),
+        ("count", 5, "source.state.fingerprint.count 5 does not match"),
+    ])
+    def test_tampered_fingerprint_state_is_clean_exit_2(
+            self, tmp_path, capsys, key, value, field):
+        ck = tmp_path / "ck.json"
+        assert main([
+            "online", "run", "--n", "20", "--k", "2", "--seed", "1",
+            "--process", "bursty", "--max-arrivals", "6",
+            "--checkpoint", str(ck),
+        ]) == 0
+        capsys.readouterr()
+        payload = json.loads(ck.read_text())
+        payload["source"]["state"]["fingerprint"][key] = value
+        ck.write_text(json.dumps(payload))
+        assert main(["online", "resume", str(ck)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_tampered_lane_fingerprint_in_manifest_is_clean_exit_2(
+            self, tmp_path, capsys):
+        ck = tmp_path / "shards.json"
+        assert main([
+            "online", "run", "--n", "30", "--k", "3", "--seed", "5",
+            "--shards", "3", "--max-arrivals", "11", "--checkpoint", str(ck),
+        ]) == 0
+        capsys.readouterr()
+        payload = json.loads(ck.read_text())
+        state = payload["shards"][1]["source"]["state"]
+        state["fingerprint"]["count"] = state["cursor"] + 1
+        ck.write_text(json.dumps(payload))
+        assert main(["online", "resume", str(ck)]) == 2
+        assert "source.state.fingerprint.count" in capsys.readouterr().err
+
     def test_inspect_plain_checkpoint(self, tmp_path, capsys):
         ck = str(tmp_path / "ck.json")
         assert main([

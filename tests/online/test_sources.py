@@ -177,6 +177,65 @@ class TestFingerprintEquivalence:
             source.restore(state)
 
 
+def _suspended_state(fn, process="bursty", cursor=7):
+    source = build_arrival_source(process, fn, 13)
+    source.seek(cursor)
+    return json.loads(json.dumps(source.state_dict()))
+
+
+class TestStrictFingerprintState:
+    """Tampered fingerprint state is rejected, never coerced or resumed."""
+
+    @pytest.mark.parametrize("fingerprint,field", [
+        ({"chain": 5, "count": 7}, "source.state.fingerprint.chain"),
+        ({"chain": "ab" * 31, "count": 7}, "source.state.fingerprint.chain"),
+        ({"chain": "AB" * 32, "count": 7}, "source.state.fingerprint.chain"),
+        ({"count": 7}, "source.state.fingerprint.chain"),
+        ({"chain": "ab" * 32, "count": True}, "source.state.fingerprint.count"),
+        ({"chain": "ab" * 32, "count": "x"}, "source.state.fingerprint.count"),
+        ({"chain": "ab" * 32, "count": 7.0}, "source.state.fingerprint.count"),
+        ({"chain": "ab" * 32}, "source.state.fingerprint.count"),
+        ("ab" * 32, "source.state.fingerprint"),
+    ])
+    def test_malformed_fingerprint_names_the_field(self, fn, fingerprint, field):
+        state = _suspended_state(fn)
+        state["fingerprint"] = fingerprint
+        with pytest.raises(InvalidInstanceError, match=field.replace(".", r"\.")):
+            build_arrival_source("bursty", fn, 13).restore(state)
+
+    def test_count_must_equal_cursor(self, fn):
+        state = _suspended_state(fn)
+        state["fingerprint"]["count"] = 6
+        with pytest.raises(InvalidInstanceError,
+                           match=r"fingerprint\.count 6 does not match "
+                                 r"source\.state\.cursor 7"):
+            build_arrival_source("bursty", fn, 13).restore(state)
+
+    @pytest.mark.parametrize("cursor", [True, "7", 7.0, None])
+    def test_cursor_must_be_an_int(self, fn, cursor):
+        state = _suspended_state(fn)
+        state["cursor"] = cursor
+        with pytest.raises(InvalidInstanceError, match=r"source\.state\.cursor"):
+            build_arrival_source("bursty", fn, 13).restore(state)
+
+    def test_shard_parent_state_is_checked_too(self, fn):
+        parent = build_arrival_source("bursty", fn, 13)
+        lane = ShardSource(parent, 1, 2)
+        lane.take(None)
+        state = json.loads(json.dumps(lane.state_dict()))
+        state["parent"]["fingerprint"]["count"] += 1
+        fresh = ShardSource(build_arrival_source("bursty", fn, 13), 1, 2)
+        with pytest.raises(InvalidInstanceError,
+                           match=r"source\.state\.parent\.fingerprint\.count"):
+            fresh.restore(state)
+
+    def test_valid_state_restores_the_same_chain(self, fn):
+        state = _suspended_state(fn)
+        resumed = build_arrival_source("bursty", fn, 13)
+        resumed.restore(state)
+        assert resumed.state_dict()["fingerprint"] == state["fingerprint"]
+
+
 def _recipe(policy, process, shards=1):
     return {
         "kind": "secretary-workload",
