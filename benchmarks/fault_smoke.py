@@ -31,6 +31,13 @@ other tenant still matches the baseline.
 **Determinism cell** — the chaos serve runs twice; the fired-fault logs
 and per-tenant retry backoff schedules must match event for event.
 
+**Tampered-checkpoint cell** — a mid-stream-killed fleet's checkpoints
+stay valid JSON but two carry a corrupt recipe: a plain tenant's
+``instance.n`` becomes ``"x"`` and the sharded tenant's ``instance.seed``
+no longer derives its recorded stream.  ``serve --resume`` must exit 3,
+quarantine exactly those two tenants with errors naming the field, and
+finish every other tenant bit-identical to the baseline.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/fault_smoke.py [--output fault_smoke.json]
@@ -241,6 +248,57 @@ def run_determinism_cell(workdir: str, spec: str) -> dict:
     }
 
 
+#: Tenant -> (instance field to corrupt, the corrupt value's maker).
+TAMPERED = {
+    "mono-a": ("n", lambda value: "x"),
+    "sharded": ("seed", lambda value: value + 1),
+}
+
+
+def run_tampered_cell(workdir: str, spec: str, baseline: dict) -> dict:
+    """Parseable-but-corrupt checkpoints quarantine only their tenants."""
+    t0 = time.perf_counter()
+    plan = os.path.join(workdir, "kill-tampered.json")
+    # Every tenant checkpoints about once per paced arrival, so by the
+    # fourth write of one tenant every tenant has a mid-stream file.
+    write_plan(plan, [{"site": "checkpoint.after_write", "kind": "kill",
+                       "scope": "nonmono", "at": [4]}])
+    ckpt = os.path.join(workdir, "ckpt-tampered")
+    serve(spec, "--checkpoint-dir", ckpt, "--fault-plan", plan,
+          "--output", os.path.join(workdir, "killed-tampered.json"),
+          "--pace-seconds", "0.01", "--idle-seconds", "0.005",
+          expect=KILL_EXIT_CODE)
+    problems = []
+    for tid, (field, corrupt) in TAMPERED.items():
+        path = os.path.join(ckpt, tid, "checkpoint.json")
+        if not os.path.exists(path):
+            problems.append(f"{tid}: no checkpoint at the kill point")
+            continue
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["instance"][field] = corrupt(payload["instance"][field])
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+    out = os.path.join(workdir, "resumed-tampered.json")
+    serve(spec, "--checkpoint-dir", ckpt, "--resume", "--output", out,
+          expect=3)
+    with open(out, "r", encoding="utf-8") as fh:
+        report = json.load(fh)
+    for tid, (field, _) in TAMPERED.items():
+        victim = report["tenants"][tid]
+        if (victim.get("state") != "quarantined"
+                or f"instance.{field}" not in str(victim.get("error"))):
+            problems.append(f"{tid} not quarantined naming instance.{field}: "
+                            f"{victim.get('state')} {victim.get('error')!r}")
+    healthy = {t: v for t, v in baseline["tenants"].items()
+               if t not in TAMPERED}
+    problems += compare_tenants({"tenants": healthy}, report)
+    return {
+        "cell": "tampered-checkpoint", "ok": not problems,
+        "problems": problems, "wall_seconds": time.perf_counter() - t0,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output", default=None,
@@ -272,6 +330,7 @@ def main(argv=None) -> int:
         cells.append(run_chaos_cell(workdir, spec, baseline))
         cells.append(run_quarantine_cell(workdir, spec, baseline))
         cells.append(run_determinism_cell(workdir, spec))
+        cells.append(run_tampered_cell(workdir, spec, baseline))
 
     failures = [c for c in cells if not c["ok"]]
     for c in cells:

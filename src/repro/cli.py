@@ -57,6 +57,15 @@ from repro.io import (
     load_instance,
     schedule_to_dict,
 )
+from repro.online.session import (
+    RECIPE_FIELDS,
+    ShardedSession,
+    WorkloadRecipe,
+    reshard_session,
+    resume_any_session,
+    start_session,
+    start_sharded_session,
+)
 from repro.scheduling.prize_collecting import (
     prize_collecting_exact_value,
     prize_collecting_schedule,
@@ -175,37 +184,41 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="start a (suspendable) online run from a workload recipe"
     )
     online_run.add_argument(
-        "--policy", default="monotone",
+        "--policy", default=WorkloadRecipe.policy,
         help="online policy (monotone, nonmonotone, classical, robust, "
              "bottleneck, knapsack, subadditive)",
     )
     online_run.add_argument(
-        "--family", default="additive",
+        "--family", default=WorkloadRecipe.family,
         help="workload family (additive, coverage, facility, cut)",
     )
-    online_run.add_argument("--n", type=int, default=60, help="stream length")
     online_run.add_argument(
-        "--k", type=int, default=4,
+        "--n", type=int, default=WorkloadRecipe.n, help="stream length"
+    )
+    online_run.add_argument(
+        "--k", type=int, default=WorkloadRecipe.k,
         help="hire budget (classical always hires one; knapsack's budget "
              "is the capacity, not a count — both ignore this flag)",
     )
-    online_run.add_argument("--seed", type=int, default=0, help="session seed")
     online_run.add_argument(
-        "--aux", type=int, default=0,
+        "--seed", type=int, default=WorkloadRecipe.seed, help="session seed"
+    )
+    online_run.add_argument(
+        "--aux", type=int, default=WorkloadRecipe.aux,
         help="family-specific auxiliary size (coverage universe / facility "
              "clients; 0 = family default)",
     )
     online_run.add_argument(
-        "--n-knapsacks", type=int, default=2,
+        "--n-knapsacks", type=int, default=WorkloadRecipe.n_knapsacks,
         help="knapsack count for --policy knapsack (reduced to one "
              "via Lemma 3.4.1)",
     )
     online_run.add_argument(
-        "--distribution", default="uniform",
+        "--distribution", default=WorkloadRecipe.distribution,
         help="additive value distribution (uniform, lognormal)",
     )
     online_run.add_argument(
-        "--process", default="uniform",
+        "--process", default=WorkloadRecipe.process,
         help="arrival process (see repro.online.arrival_process_names())",
     )
     online_run.add_argument(
@@ -213,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='JSON object of process parameters (e.g. \'{"mean_batch": 6}\')',
     )
     online_run.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=int, default=WorkloadRecipe.shards,
         help="shard the stream across this many policy replicas "
              "(1 = the plain unsharded runtime)",
     )
@@ -681,13 +694,13 @@ def _cmd_online_inspect(args) -> int:
         "format": fmt,
         "schema_version": int(payload.get("schema_version", 1)),
     }
-    recipe = payload.get("instance")
-    if isinstance(recipe, dict):
+    instance = payload.get("instance")
+    if isinstance(instance, dict):
         out["recipe"] = {
-            key: recipe.get(key)
+            key: instance[key]
             for key in ("policy", "family", "n", "k", "seed", "process",
                         "shards")
-            if key in recipe
+            if key in instance
         }
     if fmt == SHARDED_CHECKPOINT_FORMAT:
         shards = payload.get("shards") or []
@@ -740,7 +753,6 @@ def _cmd_online_reshard(args) -> int:
     ``start_sharded_session`` would have seeded them.
     """
     from repro.io import dump_json_atomic
-    from repro.online.session import reshard_session
     from repro.online.sharding import partition_from_manifest
 
     if args.shards < 1:
@@ -861,13 +873,6 @@ def _cmd_online_serve(args) -> int:
 
 
 def _cmd_online(args) -> int:
-    from repro.online.session import (
-        ShardedSession,
-        resume_any_session,
-        start_session,
-        start_sharded_session,
-    )
-
     if args.online_command == "inspect":
         return _cmd_online_inspect(args)
     if args.online_command == "serve":
@@ -885,34 +890,21 @@ def _cmd_online(args) -> int:
             f"--max-arrivals must be >= 0, got {args.max_arrivals}"
         )
     if args.online_command == "run":
-        params = None
-        if args.process_params:
+        values = {name: getattr(args, name) for name in RECIPE_FIELDS}
+        if args.process_params is None:
+            del values["process_params"]
+        else:
             try:
-                params = json.loads(args.process_params)
+                values["process_params"] = json.loads(args.process_params)
             except json.JSONDecodeError as exc:
                 raise ReproError(
                     f"--process-params is not valid JSON: {exc}"
                 ) from exc
-            if not isinstance(params, dict):
-                raise ReproError("--process-params must be a JSON object")
-        if args.shards < 1:
-            raise ReproError(f"--shards must be >= 1, got {args.shards}")
-        kwargs = dict(
-            policy=args.policy,
-            family=args.family,
-            n=args.n,
-            k=args.k,
-            seed=args.seed,
-            process=args.process,
-            aux=args.aux,
-            n_knapsacks=args.n_knapsacks,
-            distribution=args.distribution,
-            process_params=params,
+        recipe = WorkloadRecipe.from_fields(
+            values, where=lambda name: "--" + name.replace("_", "-")
         )
-        if args.shards > 1:
-            session = start_sharded_session(shards=args.shards, **kwargs)
-        else:
-            session = start_session(**kwargs)
+        start = start_sharded_session if recipe.shards > 1 else start_session
+        session = start(recipe)
     else:
         session = resume_any_session(_load_checkpoint_file(args.checkpoint_file))
     if args.workers > 1:

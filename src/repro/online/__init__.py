@@ -78,6 +78,7 @@ from repro.online.session import (
     OnlineSession,
     ShardedSession,
     WorkloadCache,
+    WorkloadRecipe,
     resume_any_session,
     start_session,
     start_sharded_session,
@@ -152,6 +153,7 @@ __all__ = [
     "SubadditiveSegmentPolicy",
     "TenantSpec",
     "WorkloadCache",
+    "WorkloadRecipe",
     "arrival_process_names",
     "as_arrival_source",
     "build_arrival_schedule",

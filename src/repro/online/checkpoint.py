@@ -32,7 +32,7 @@ from typing import Dict, Mapping, Optional
 from urllib.parse import quote, unquote
 
 from repro.core.submodular import SetFunction
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, strict_int
 from repro.online.arrivals import (
     ArrivalSchedule,
     ArrivalSource,
@@ -104,7 +104,7 @@ def check_schema_version(
         if isinstance(supported, (tuple, list, set, frozenset))
         else (supported,)
     )
-    if version not in ok:
+    if type(version) is not int or version not in ok:  # no bools, no floats
         shown = ", ".join(str(v) for v in ok)
         raise InvalidInstanceError(
             f"{what} schema version {version!r} is not supported by this "
@@ -124,6 +124,32 @@ def _checked_elements(elements, what: str) -> list:
             )
         out.append(e)
     return out
+
+
+def _check_decisions(checkpoint: Mapping[str, object], ground) -> None:
+    """Reject a decision log that does not lie inside the run's stream.
+
+    Each entry is a ``[position, element]`` hire: positions non-bool
+    ints ascending strictly inside ``[0, cursor)``, elements members of
+    the run's ground set *ground*.
+    """
+    cursor = strict_int(checkpoint.get("cursor"), "cursor")
+    decisions = checkpoint.get("decisions", [])
+    if not isinstance(decisions, list):
+        raise InvalidInstanceError(f"decisions must be a list, got {decisions!r}")
+    last = -1
+    for i, entry in enumerate(decisions):
+        pair = isinstance(entry, list) and len(entry) == 2
+        pos = strict_int(entry[0], f"decisions[{i}][0]") if pair else -1
+        element = entry[1] if pair else None
+        if not (last < pos < cursor and isinstance(element, (str, int))
+                and not isinstance(element, bool) and element in ground):
+            raise InvalidInstanceError(
+                f"decisions[{i}] {entry!r} is not a hire inside the stream "
+                f"(positions ascend in [0, {cursor}), elements are in the "
+                "ground set)"
+            )
+        last = pos
 
 
 def make_checkpoint(
@@ -176,7 +202,8 @@ def resume_run(
     saved cursor, and only the frontier is re-revealed.  v1 payloads go
     through the migration shim: schedule from the embedded payload,
     prefix re-revealed, decision log reconstructed from the restored
-    policy — the legacy O(stream) path.
+    policy — the legacy O(stream) path.  A v2 decision log must lie
+    inside the stream (see :func:`_check_decisions`).
 
     The policy is rebuilt from the checkpoint's config unless an
     explicit *policy* instance is given (required when it carries
@@ -197,6 +224,7 @@ def resume_run(
         return _resume_v1(checkpoint, utility, policy)
     if source is None:
         source = source_from_spec(checkpoint.get("source"), utility)  # type: ignore[arg-type]
+    _check_decisions(checkpoint, utility.ground_set)
     run = OnlineRun(utility, source, policy)
     run.restore(checkpoint)
     return run

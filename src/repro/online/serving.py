@@ -84,6 +84,7 @@ from repro.online.session import (
     OnlineSession,
     ShardedSession,
     WorkloadCache,
+    WorkloadRecipe,
     reshard_session,
     resume_any_session,
     start_session,
@@ -102,73 +103,37 @@ __all__ = [
 #: stream is over (or draining); exit once the queue ahead is consumed."
 _EOS = object()
 
-#: Recipe fields a tenant spec (or its defaults block) may set.
-_SPEC_FIELDS = (
-    "policy",
-    "family",
-    "n",
-    "k",
-    "seed",
-    "process",
-    "aux",
-    "n_knapsacks",
-    "distribution",
-    "process_params",
-    "shards",
-)
-
-#: Spec fields read as non-bool ints / as strings at the JSON boundary.
-_INT_FIELDS = frozenset({"n", "k", "seed", "aux", "n_knapsacks", "shards"})
-_STR_FIELDS = frozenset({"policy", "family", "process", "distribution"})
-
 OnDecision = Callable[[str, int, object], None]
 
 
 class TenantSpec:
-    """One tenant's workload recipe plus its serving identity.
+    """One tenant: a unique ``tenant_id`` plus its workload recipe.
 
-    A thin, validated bundle of the :func:`~repro.online.session.start_session`
-    keyword surface (``shards > 1`` routes to the sharded starter) under
-    a unique ``tenant_id`` — the name of the tenant's checkpoint
-    directory under the serve root.
+    ``tenant_id`` names the tenant's checkpoint directory under the
+    serve root; :attr:`recipe` is a
+    :class:`~repro.online.session.WorkloadRecipe` (built by
+    :meth:`~repro.online.session.WorkloadRecipe.of` from the remaining
+    arguments), whose fields read through: ``spec.n`` is
+    ``spec.recipe.n``.  ``shards > 1`` routes to the sharded starter.
     """
 
-    def __init__(
-        self,
-        tenant_id: str,
-        *,
-        policy: str = "monotone",
-        family: str = "additive",
-        n: int = 60,
-        k: int = 4,
-        seed: int = 0,
-        process: str = "uniform",
-        aux: int = 0,
-        n_knapsacks: int = 2,
-        distribution: str = "uniform",
-        process_params: Optional[Mapping[str, object]] = None,
-        shards: int = 1,
-    ) -> None:
-        """Validate and freeze one tenant's recipe fields."""
+    #: Slots make ``spec.n = ...`` an error instead of a silent shadow
+    #: of the recipe field (replace :attr:`recipe` to change a tenant).
+    __slots__ = ("tenant_id", "recipe")
+
+    def __init__(self, tenant_id: str, *recipe: object, **fields: object) -> None:
+        """Validate the tenant id and parse its recipe."""
         tenant_id = str(tenant_id)
         if not tenant_id:
             raise InvalidInstanceError("tenant id must be non-empty")
-        if int(shards) < 1:
-            raise InvalidInstanceError(
-                f"tenant {tenant_id!r}: shards must be >= 1, got {shards}"
-            )
         self.tenant_id = tenant_id
-        self.policy = str(policy)
-        self.family = str(family)
-        self.n = int(n)
-        self.k = int(k)
-        self.seed = int(seed)
-        self.process = str(process)
-        self.aux = int(aux)
-        self.n_knapsacks = int(n_knapsacks)
-        self.distribution = str(distribution)
-        self.process_params = dict(process_params or {})
-        self.shards = int(shards)
+        self.recipe = WorkloadRecipe.of(*recipe, **fields)
+
+    def __getattr__(self, name: str) -> object:
+        """Recipe fields read through to :attr:`recipe`."""
+        if name == "recipe":  # not set yet: never recurse
+            raise AttributeError(name)
+        return getattr(self.recipe, name)
 
     @classmethod
     def from_mapping(
@@ -180,12 +145,11 @@ class TenantSpec:
     ) -> "TenantSpec":
         """Build a spec from a JSON object, merged over *defaults*.
 
-        Unknown keys are rejected (a typoed field silently reverting to
-        its default would change the tenant's stream), and so are wrong
-        types: counts and seeds must be non-bool ints, names strings,
-        ``process_params`` an object.  Errors name the field as
-        ``<where>.<key>`` (or ``defaults.<key>`` when the value came
-        from the defaults block).
+        The recipe fields parse through
+        :meth:`~repro.online.session.WorkloadRecipe.from_fields`:
+        unknown keys and wrong types are rejected.  Errors name the
+        field as ``<where>.<key>`` (or ``defaults.<key>`` when the value
+        came from the defaults block).
         """
         merged: Dict[str, object] = dict(defaults or {})
         merged.update(payload)
@@ -201,22 +165,10 @@ class TenantSpec:
             raise InvalidInstanceError(
                 f"{field('id')} must be a non-empty string, got {tenant_id!r}"
             )
-        unknown = sorted(set(merged) - set(_SPEC_FIELDS))
-        if unknown:
-            raise InvalidInstanceError(
-                f"tenant {tenant_id!r}: unknown spec fields {unknown}; "
-                f"known: {sorted(_SPEC_FIELDS)}"
-            )
-        for key, value in merged.items():
-            if key in _INT_FIELDS:
-                strict_int(value, field(key))
-            elif key in _STR_FIELDS:
-                strict_str(value, field(key))
-            elif key == "process_params" and not isinstance(value, Mapping):
-                raise InvalidInstanceError(
-                    f"{field(key)} must be an object, got {value!r}"
-                )
-        return cls(tenant_id, **merged)  # type: ignore[arg-type]
+        return cls(
+            tenant_id,
+            WorkloadRecipe.from_fields(merged, where=field, noun="spec"),
+        )
 
     def start(
         self,
@@ -233,24 +185,17 @@ class TenantSpec:
         reshard; ``--shards 1`` sharded runs are pinned bit-identical to
         the plain runtime, so results are unchanged).
         """
-        kwargs = dict(
-            policy=self.policy,
-            family=self.family,
-            n=self.n,
-            k=self.k,
-            seed=self.seed,
-            process=self.process,
-            aux=self.aux,
-            n_knapsacks=self.n_knapsacks,
-            distribution=self.distribution,
-            process_params=self.process_params,
+        start = (
+            start_sharded_session
+            if self.recipe.shards > 1 or force_sharded
+            else start_session
+        )
+        return start(
+            self.recipe,
             workload_cache=workload_cache,
             fault_injector=fault_injector,
             fault_scope=fault_scope or self.tenant_id,
         )
-        if self.shards > 1 or force_sharded:
-            return start_sharded_session(shards=self.shards, **kwargs)  # type: ignore[arg-type]
-        return start_session(**kwargs)  # type: ignore[arg-type]
 
 
 def load_tenant_specs(payload: object) -> List[TenantSpec]:
@@ -326,10 +271,7 @@ def load_tenant_specs(payload: object) -> List[TenantSpec]:
 class _Lane:
     """One shard's pipe: producer-pulled steps queued for one consumer."""
 
-    def __init__(
-        self, run: OnlineRun, depth: int,
-        counting: Optional[CountingOracle] = None,
-    ) -> None:
+    def __init__(self, run: OnlineRun, depth: int, counting: CountingOracle) -> None:
         self.run = run
         #: The lane's own counting oracle — what the guarded feed
         #: snapshots and rolls back so a retried batch bills exactly
@@ -419,15 +361,13 @@ class _Tenant:
         """Adopt a live session: build one lane (+ counter) per shard."""
         self.session = session
         self.resumed = self.resumed or resumed
-        if isinstance(session, ShardedSession):
-            runs = session.run.runs
-            countings: List[Optional[CountingOracle]] = list(session.countings)
-        else:
-            runs = [session.run]
-            countings = [session.counting]
+        runs = (
+            session.run.runs if isinstance(session, ShardedSession)
+            else [session.run]
+        )
         self.lanes = [
             _Lane(run, self.depth, counting)
-            for run, counting in zip(runs, countings)
+            for run, counting in zip(runs, session.countings)
         ]
         self.state = "running"
 
@@ -1110,9 +1050,7 @@ class ServingLoop:
         attempt = 0
         while True:
             snap = run.snapshot()
-            calls_before = (
-                None if lane.counting is None else lane.counting.calls
-            )
+            calls_before = lane.counting.calls
             try:
                 delay = injector.hit("serve.feed", scope)
                 if delay > 0.0:
@@ -1123,8 +1061,7 @@ class ServingLoop:
                 # Rollback order matters: load_state may itself bill
                 # restore queries, so the counter resets last.
                 run.rollback(snap)
-                if calls_before is not None:
-                    lane.counting.calls = calls_before
+                lane.counting.calls = calls_before
                 if isinstance(exc, PermanentFault):
                     tenant.strikes += 1
                     if tenant.strikes >= retry.max_strikes:

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import multiprocessing
 
-import numpy as np
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+import numpy as np
 
 from repro.core.oracle import CachedOracle, CountingOracle
 from repro.core.submodular import SetFunction
 from repro.engine.hashing import derive_seed
-from repro.errors import InvalidInstanceError
+from repro.errors import InvalidInstanceError, strict_int, strict_str
 from repro.online.arrivals import build_arrival_source, source_from_spec
 from repro.online.checkpoint import (
     check_schema_version,
@@ -62,12 +64,14 @@ from repro.workloads.secretary_streams import (
 )
 
 __all__ = [
+    "RECIPE_FIELDS",
     "RECIPE_SCHEMA_VERSION",
     "SESSION_POLICIES",
     "SESSION_FAMILIES",
     "OnlineSession",
     "ShardedSession",
     "WorkloadCache",
+    "WorkloadRecipe",
     "build_workload",
     "workload_key",
     "start_session",
@@ -95,8 +99,193 @@ SESSION_POLICIES = (
 )
 SESSION_FAMILIES = STREAM_FAMILIES
 
+#: ``kind`` marker of an embedded recipe, and the ``instance`` keys that
+#: are bookkeeping rather than recipe fields.
+_RECIPE_KIND = "secretary-workload"
+_INSTANCE_META = ("kind", "recipe_version", "oracle_calls_consumed")
 
-def build_workload(recipe: Mapping[str, object]) -> Tuple[SetFunction, Dict]:
+
+def _strict_object(value: object, name: str) -> Dict[str, object]:
+    """*value* as a fresh ``dict``, or an error naming *name*."""
+    if isinstance(value, Mapping):
+        return dict(value)
+    raise InvalidInstanceError(f"{name} must be a JSON object, got {value!r}")
+
+
+#: Boundary parser per declared field type (annotations are strings
+#: under ``from __future__ import annotations``).
+_PARSERS = {"int": strict_int, "str": strict_str, "Dict[str, object]": _strict_object}
+
+
+@dataclass(frozen=True)
+class WorkloadRecipe:
+    """One instance of the online secretary experiments, typed and frozen.
+
+    The only declaration of the recipe's fields, types and defaults;
+    the field order is the key order of the checkpoint ``instance``
+    block (:meth:`instance`).  Boundaries parse into it once — CLI flags
+    and serve-spec tenants via :meth:`from_fields`, Python calls via
+    :meth:`of`, checkpoints and manifests via :meth:`from_checkpoint` —
+    and everything below reads typed attributes.
+    """
+
+    policy: str = "monotone"
+    family: str = "additive"
+    n: int = 60
+    k: int = 4
+    aux: int = 0
+    n_knapsacks: int = 2
+    distribution: str = "uniform"
+    seed: int = 0
+    process: str = "uniform"
+    process_params: Dict[str, object] = field(default_factory=dict)
+    shards: int = 1  # last: only sharded sessions' instance blocks record it
+
+    @classmethod
+    def from_fields(
+        cls,
+        values: Mapping[str, object],
+        *,
+        where: Callable[[str], str] = str,
+        noun: str = "recipe",
+        known: Sequence[str] = (),
+    ) -> "WorkloadRecipe":
+        """Parse recipe *values*; absent fields take their defaults.
+
+        Counts and seeds must be non-bool ints, names strings (policy
+        and family known ones), ``process_params`` an object; keys
+        outside *known* (default: every field) are rejected, since a
+        typoed field silently reverting to its default would change the
+        stream.  Errors name the field as ``where(name)``.
+        """
+        known = known or RECIPE_FIELDS
+        unknown = set(values).difference(known)
+        if unknown:
+            raise InvalidInstanceError(
+                f"unknown {noun} field(s) "
+                f"{', '.join(map(where, sorted(map(str, unknown))))}; "
+                f"known: {sorted(known)}"
+            )
+        recipe = cls(**{
+            name: _FIELD_PARSERS[name](value, where(name))
+            for name, value in values.items()
+        })
+        for name, names in (("policy", SESSION_POLICIES),
+                            ("family", SESSION_FAMILIES)):
+            if getattr(recipe, name) not in names:
+                raise InvalidInstanceError(
+                    f"{where(name)}: unknown online {name} "
+                    f"{getattr(recipe, name)!r}; known: {names}"
+                )
+        if recipe.shards < 1:
+            raise InvalidInstanceError(
+                f"{where('shards')} must be >= 1, got {recipe.shards}"
+            )
+        return recipe
+
+    @classmethod
+    def of(cls, *args: object, **values: object) -> "WorkloadRecipe":
+        """The Python-call boundary: a recipe, a mapping, or its fields.
+
+        ``of(recipe)`` is *recipe*; ``of(mapping)`` parses the mapping's
+        fields (an ``instance`` block's bookkeeping keys are skipped);
+        otherwise positional arguments fill ``policy, family, n, k`` and
+        keywords any field.  Parsing is as strict as a spec file's.
+        """
+        if len(args) == 1 and not values:
+            if isinstance(args[0], cls):
+                return args[0]
+            if isinstance(args[0], Mapping):
+                return cls.from_fields({k: v for k, v in args[0].items()
+                                        if k not in _INSTANCE_META})
+        if len(args) > 4 or set(RECIPE_FIELDS[:len(args)]) & set(values):
+            raise TypeError("recipe fields are policy, family, n, k "
+                            "positionally, each at most once")
+        return cls.from_fields({**dict(zip(RECIPE_FIELDS, args)), **values})
+
+    def instance(self, oracle_calls: int, *, sharded: bool) -> Dict[str, object]:
+        """The ``instance`` block a checkpoint or manifest embeds."""
+        block: Dict[str, object] = {
+            "kind": _RECIPE_KIND, "recipe_version": RECIPE_SCHEMA_VERSION,
+        }
+        for name in RECIPE_FIELDS if sharded else _PLAIN_FIELDS:
+            block[name] = getattr(self, name)
+        block["process_params"] = dict(self.process_params)
+        block["oracle_calls_consumed"] = int(oracle_calls)
+        return block
+
+    @classmethod
+    def from_checkpoint(
+        cls, checkpoint: Mapping[str, object]
+    ) -> Tuple["WorkloadRecipe", int]:
+        """Parse a checkpoint's (or manifest's) ``instance`` block strictly.
+
+        Returns the recipe and the oracle calls consumed before the
+        suspend.  Every writer records every field, so all must be
+        present (``shards`` exactly in sharded manifests); only
+        ``recipe_version`` may be absent (= 1).  The recipe must name
+        the stream every v2 entry recorded — its process and derived
+        stream seed — or a tampered seed would rebuild another utility
+        under the old stream.  Errors name ``instance.<field>``.
+        """
+        block = checkpoint.get("instance")
+        if not isinstance(block, Mapping) or block.get("kind") != _RECIPE_KIND:
+            raise InvalidInstanceError(
+                "checkpoint has no embedded workload recipe; resume it through "
+                "repro.online.checkpoint.resume_run with an explicit utility"
+            )
+        check_schema_version(
+            block, "workload recipe",
+            key="recipe_version", supported=RECIPE_SCHEMA_VERSION,
+        )
+        where = "instance.{}".format
+        sharded = checkpoint.get("format") == SHARDED_CHECKPOINT_FORMAT
+        recorded = RECIPE_FIELDS if sharded else _PLAIN_FIELDS
+        for name in recorded + ("oracle_calls_consumed",):
+            if name not in block:
+                raise InvalidInstanceError(f"{where(name)} is missing")
+        recipe = cls.from_fields(
+            {k: v for k, v in block.items() if k not in _INSTANCE_META},
+            where=where, known=recorded,
+        )
+        prior = strict_int(
+            block["oracle_calls_consumed"], where("oracle_calls_consumed")
+        )
+        if prior < 0:
+            raise InvalidInstanceError(
+                f"{where('oracle_calls_consumed')} must be >= 0, got {prior}"
+            )
+        expected = {"process": recipe.process, "seed": recipe.stream_seed}
+        entries = checkpoint.get("shards") if sharded else [checkpoint]
+        for entry in entries if isinstance(entries, list) else ():
+            source = entry.get("source") if isinstance(entry, Mapping) else None
+            if not isinstance(source, Mapping) or entry.get("schema_version", 1) == 1:
+                continue  # v1 entries record no source spec
+            for name, want in expected.items():
+                if source.get(name) != want:
+                    raise InvalidInstanceError(
+                        f"{where(name)} {getattr(recipe, name)!r} does not "
+                        f"match the recorded stream ({name} "
+                        f"{source.get(name)!r})"
+                    )
+        return recipe, prior
+
+    @property
+    def stream_seed(self) -> int:
+        """Seed of the arrival stream (independent of the coin flips)."""
+        return derive_seed(self.seed, "online-stream")
+
+
+#: Recipe field names, in declaration (= ``instance`` block) order; a
+#: plain session's block records no ``shards``.
+RECIPE_FIELDS = tuple(f.name for f in fields(WorkloadRecipe))
+_PLAIN_FIELDS = RECIPE_FIELDS[:-1]
+_FIELD_PARSERS = {f.name: _PARSERS[f.type] for f in fields(WorkloadRecipe)}
+
+
+def build_workload(
+    recipe: Union[WorkloadRecipe, Mapping[str, object]]
+) -> Tuple[SetFunction, Dict]:
     """Rebuild (utility, per-item knapsack weights) from a recipe.
 
     Construction goes through the same
@@ -104,31 +293,20 @@ def build_workload(recipe: Mapping[str, object]) -> Tuple[SetFunction, Dict]:
     the engine adapters use, so a recipe names the same instance a
     sweep cell with the same (family, n, aux, seed) would build.
     """
-    family = str(recipe["family"])
-    n = int(recipe["n"])  # type: ignore[arg-type]
-    aux = int(recipe.get("aux", 0))  # type: ignore[arg-type]
-    seed = int(recipe["seed"])  # type: ignore[arg-type]
-    if family not in SESSION_FAMILIES:
-        raise InvalidInstanceError(
-            f"unknown online workload family {family!r}; known: {SESSION_FAMILIES}"
-        )
-    gen = np.random.default_rng(seed)
+    recipe = WorkloadRecipe.of(recipe)
+    gen = np.random.default_rng(recipe.seed)
     fn = stream_utility(
-        family, n, aux=aux, rng=gen,
-        distribution=str(recipe.get("distribution", "uniform")),
+        recipe.family, recipe.n, aux=recipe.aux, rng=gen,
+        distribution=recipe.distribution,
     )
     weights = {}
-    if recipe.get("policy") == "knapsack":
-        vectors = knapsack_weights(
-            fn.ground_set, int(recipe.get("n_knapsacks", 2)), rng=gen  # type: ignore[arg-type]
-        )
-        weights = reduce_knapsacks_to_one(
-            vectors, [1.0] * int(recipe.get("n_knapsacks", 2))  # type: ignore[arg-type]
-        )
+    if recipe.policy == "knapsack":
+        vectors = knapsack_weights(fn.ground_set, recipe.n_knapsacks, rng=gen)
+        weights = reduce_knapsacks_to_one(vectors, [1.0] * recipe.n_knapsacks)
     return fn, weights
 
 
-def workload_key(recipe: Mapping[str, object]) -> Tuple:
+def workload_key(recipe: Union[WorkloadRecipe, Mapping[str, object]]) -> Tuple:
     """Hashable identity of the workload *recipe* rebuilds.
 
     Two recipes with equal keys make :func:`build_workload` return the
@@ -138,14 +316,14 @@ def workload_key(recipe: Mapping[str, object]) -> Tuple:
     deliberately absent — tenants that differ only there still share one
     utility instance (and one value cache) under :class:`WorkloadCache`.
     """
-    needs_weights = recipe.get("policy") == "knapsack"
+    recipe = WorkloadRecipe.of(recipe)
     return (
-        str(recipe["family"]),
-        int(recipe["n"]),  # type: ignore[arg-type]
-        int(recipe.get("aux", 0)),  # type: ignore[arg-type]
-        int(recipe["seed"]),  # type: ignore[arg-type]
-        str(recipe.get("distribution", "uniform")),
-        int(recipe.get("n_knapsacks", 2)) if needs_weights else None,  # type: ignore[arg-type]
+        recipe.family,
+        recipe.n,
+        recipe.aux,
+        recipe.seed,
+        recipe.distribution,
+        recipe.n_knapsacks if recipe.policy == "knapsack" else None,
     )
 
 
@@ -174,7 +352,7 @@ class WorkloadCache:
         return len(self._entries)
 
     def lookup(
-        self, recipe: Mapping[str, object]
+        self, recipe: Union[WorkloadRecipe, Mapping[str, object]]
     ) -> Tuple[SetFunction, Dict, CachedOracle]:
         """Return (utility, weights, shared cached oracle) for *recipe*.
 
@@ -182,6 +360,7 @@ class WorkloadCache:
         and reuses it afterwards; ``hits``/``misses`` count lookups for
         the serving stats.
         """
+        recipe = WorkloadRecipe.of(recipe)
         key = workload_key(recipe)
         entry = self._entries.get(key)
         if entry is None:
@@ -205,12 +384,45 @@ class WorkloadCache:
         }
 
 
+def _workload(
+    recipe: WorkloadRecipe, cache: Optional[WorkloadCache]
+) -> Tuple[SetFunction, Dict, SetFunction]:
+    """(utility, weights, value oracle): built afresh, or shared via *cache*."""
+    if cache is None:
+        fn, weights = build_workload(recipe)
+        return fn, weights, fn
+    return cache.lookup(recipe)
+
+
+def _oracle_factory(
+    counters: ShardCounters, fault_injector, fault_scope: Optional[str],
+    *, sharded: bool,
+):
+    """Per-lane oracle factory: *counters*, optionally fault-wrapped.
+
+    The fault wrapper sits outside the counting layer (an aborted query
+    is never billed), under ``<fault_scope>#s<index>`` per shard so each
+    shard sees its own deterministic fault stream.
+    """
+    if fault_injector is None:
+        return counters
+    scope = fault_scope or "session"
+
+    def factory(index: int, view):
+        """Wrap lane *index*'s counting oracle in its fault scope."""
+        return fault_injector.wrap_oracle(
+            counters(index, view), f"{scope}#s{index}" if sharded else scope
+        )
+
+    return factory
+
+
 def _singleton_values(fn: SetFunction) -> Dict:
     return {e: fn.value(frozenset({e})) for e in sorted(fn.ground_set, key=repr)}
 
 
 def _build_policy(
-    recipe: Mapping[str, object],
+    recipe: WorkloadRecipe,
     fn: SetFunction,
     weights: Mapping,
     *,
@@ -224,11 +436,10 @@ def _build_policy(
     overrides the coin-flip seed (shard replicas flip independent,
     shard-derived coins).  The defaults reproduce the unsharded session.
     """
-    name = str(recipe["policy"])
-    n = int(recipe["n"]) if n is None else int(n)  # type: ignore[arg-type]
-    k = int(recipe["k"])  # type: ignore[arg-type]
+    name, k = recipe.policy, recipe.k
+    n = recipe.n if n is None else int(n)
     if algo_seed is None:
-        algo_seed = derive_seed(int(recipe["seed"]), "online-algo")  # type: ignore[arg-type]
+        algo_seed = derive_seed(recipe.seed, "online-algo")
     gen = np.random.default_rng(algo_seed)
     if name == "monotone":
         return SegmentedSubmodularPolicy(k)
@@ -266,15 +477,16 @@ class OnlineSession:
     """
 
     def __init__(self, run: OnlineRun, base: SetFunction,
-                 counting: CountingOracle, recipe: Dict[str, object],
+                 countings: List[CountingOracle], recipe: WorkloadRecipe,
                  prior_calls: int = 0) -> None:
         self.run = run
         self.base = base
-        self.counting = counting
+        #: One counting oracle per lane (a plain session has one lane).
+        self.countings = countings
         self.recipe = recipe
         self.prior_calls = int(prior_calls)
 
-    def advance(self, max_arrivals: Optional[int] = None) -> "OnlineSession":
+    def advance(self, max_arrivals: Optional[int] = None):
         """Consume up to *max_arrivals* more arrivals (None = run to completion)."""
         self.run.run(max_arrivals)
         return self
@@ -287,20 +499,20 @@ class OnlineSession:
     @property
     def oracle_calls(self) -> int:
         """Cumulative counted queries across all suspend/resume hops."""
-        return self.prior_calls + self.counting.calls
+        return self.prior_calls + sum(c.calls for c in self.countings)
 
     def checkpoint(self) -> Dict[str, object]:
         """Suspend-state payload with the workload recipe attached."""
-        extra = dict(self.recipe)
-        extra["oracle_calls_consumed"] = self.oracle_calls
-        return make_checkpoint(self.run, extra=extra)
+        return make_checkpoint(
+            self.run, extra=self.recipe.instance(self.oracle_calls, sharded=False)
+        )
 
     def summary(self) -> Dict[str, object]:
         """Selection, value, and oracle-call accounting for the run so far."""
         out: Dict[str, object] = {
-            "policy": self.recipe["policy"],
-            "family": self.recipe["family"],
-            "process": self.recipe["process"],
+            "policy": self.recipe.policy,
+            "family": self.recipe.family,
+            "process": self.recipe.process,
             "n": self.run.n,
             "cursor": self.run.cursor,
             "finished": self.run.finished,
@@ -317,79 +529,36 @@ class OnlineSession:
 
 
 def start_session(
-    policy: str = "monotone",
-    family: str = "additive",
-    n: int = 60,
-    k: int = 4,
-    *,
-    seed: int = 0,
-    process: str = "uniform",
-    aux: int = 0,
-    n_knapsacks: int = 2,
-    distribution: str = "uniform",
-    process_params: Optional[Mapping[str, object]] = None,
+    *recipe: object,
     workload_cache: Optional[WorkloadCache] = None,
     fault_injector=None,
     fault_scope: Optional[str] = None,
+    **fields: object,
 ) -> OnlineSession:
-    """Build a fresh session from a workload recipe.
+    """Build a fresh session from a recipe (see :meth:`WorkloadRecipe.of`).
 
     With a *workload_cache*, same-workload tenants share one utility and
     one memoising value oracle; the per-tenant counting wrapper keeps
-    ``oracle_calls`` identical either way.
-
-    With a *fault_injector* (see :mod:`repro.online.faults`), the
-    counting oracle is wrapped so every query passes through the
+    ``oracle_calls`` identical either way.  With a *fault_injector* (see
+    :mod:`repro.online.faults`), every query passes through the
     ``oracle.value`` / ``oracle.batch`` fault sites under *fault_scope*
-    (the tenant id, under the serving layer).  The wrapper sits outside
-    the counting layer, so a query aborted by an injected fault is
-    never billed.
+    (the tenant id, under the serving layer).
     """
-    recipe: Dict[str, object] = {
-        "kind": "secretary-workload",
-        "recipe_version": RECIPE_SCHEMA_VERSION,
-        "policy": policy,
-        "family": family,
-        "n": int(n),
-        "k": int(k),
-        "aux": int(aux),
-        "n_knapsacks": int(n_knapsacks),
-        "distribution": distribution,
-        "seed": int(seed),
-        "process": process,
-        "process_params": dict(process_params or {}),
-    }
-    if workload_cache is None:
-        fn, weights = build_workload(recipe)
-        shared: SetFunction = fn
-    else:
-        fn, weights, shared = workload_cache.lookup(recipe)
-    policy_obj = _build_policy(recipe, fn, weights)
-    source = build_arrival_source(
-        process, fn, derive_seed(int(seed), "online-stream"),
-        **dict(process_params or {}),
-    )
-    counting = CountingOracle(shared)
-    target: SetFunction = counting
-    if fault_injector is not None:
-        target = fault_injector.wrap_oracle(counting, fault_scope or "session")
-    run = OnlineRun(target, source, policy_obj)
-    return OnlineSession(run, fn, counting, recipe)
-
-
-def _checked_recipe(checkpoint: Mapping[str, object]) -> Mapping[str, object]:
-    """The checkpoint's embedded recipe, kind- and version-validated."""
-    recipe = checkpoint.get("instance")
-    if not isinstance(recipe, Mapping) or recipe.get("kind") != "secretary-workload":
+    spec = WorkloadRecipe.of(*recipe, **fields)
+    if spec.shards != 1:
         raise InvalidInstanceError(
-            "checkpoint has no embedded workload recipe; resume it through "
-            "repro.online.checkpoint.resume_run with an explicit utility"
+            f"shards={spec.shards} needs start_sharded_session"
         )
-    check_schema_version(
-        recipe, "workload recipe",
-        key="recipe_version", supported=RECIPE_SCHEMA_VERSION,
+    fn, weights, shared = _workload(spec, workload_cache)
+    policy_obj = _build_policy(spec, fn, weights)
+    source = build_arrival_source(
+        spec.process, fn, spec.stream_seed, **spec.process_params
     )
-    return recipe
+    counters = ShardCounters()
+    target = _oracle_factory(
+        counters, fault_injector, fault_scope, sharded=False)(0, shared)
+    run = OnlineRun(target, source, policy_obj)
+    return OnlineSession(run, fn, counters.countings, spec)
 
 
 def resume_session(
@@ -408,27 +577,19 @@ def resume_session(
     suspend/resume hop never inflates the total over an uninterrupted
     run.
     """
-    recipe = _checked_recipe(checkpoint)
-    if workload_cache is None:
-        fn, _ = build_workload(recipe)
-        shared: SetFunction = fn
-    else:
-        fn, _, shared = workload_cache.lookup(recipe)
-    counting = CountingOracle(shared)
-    target: SetFunction = counting
-    if fault_injector is not None:
-        target = fault_injector.wrap_oracle(counting, fault_scope or "session")
+    recipe, prior = WorkloadRecipe.from_checkpoint(checkpoint)
+    fn, _, shared = _workload(recipe, workload_cache)
+    counters = ShardCounters()
+    target = _oracle_factory(
+        counters, fault_injector, fault_scope, sharded=False)(0, shared)
     source = None
-    if int(checkpoint.get("schema_version", 1)) >= 2:  # type: ignore[arg-type]
+    if checkpoint.get("schema_version", 1) != 1:  # resume_run rejects bad ones
         # Rebuild the stream over the *base* utility so value-sorted
         # processes' construction queries never inflate call accounting.
         source = source_from_spec(checkpoint.get("source"), fn)
     run = resume_run(checkpoint, target, source=source)
-    restore_overhead = counting.calls
-    recipe = dict(recipe)
-    prior = int(recipe.pop("oracle_calls_consumed", 0))  # type: ignore[arg-type]
     return OnlineSession(
-        run, fn, counting, recipe, prior_calls=prior - restore_overhead
+        run, fn, counters.countings, recipe, prior_calls=prior - counters.calls
     )
 
 
@@ -449,7 +610,7 @@ def _shard_algo_seed(seed: int, shard_index: int, num_shards: int) -> int:
 
 
 def _merge_rule(
-    recipe: Mapping[str, object], weights: Mapping
+    recipe: WorkloadRecipe, weights: Mapping
 ) -> Tuple[Optional[Callable], Optional[int]]:
     """The ``(can_take, limit)`` pair the merge stage enforces.
 
@@ -457,15 +618,30 @@ def _merge_rule(
     hires must fit the reduced unit knapsack, the classical rule hires
     one, everything else is cardinality-``k``.
     """
-    policy = str(recipe["policy"])
-    if policy == "knapsack":
+    if recipe.policy == "knapsack":
         return knapsack_constraint(weights), None
-    if policy == "classical":
+    if recipe.policy == "classical":
         return None, 1
-    return None, int(recipe["k"])  # type: ignore[arg-type]
+    return None, recipe.k
 
 
-def _finish_shard_worker(job: Tuple[Dict, Dict]) -> Tuple[Dict, int]:
+def _lane_policies(
+    recipe: WorkloadRecipe, fn: SetFunction, weights: Mapping, num_shards: int
+) -> Callable[[int, object], OnlinePolicy]:
+    """Policy factory for the lanes of a *num_shards*-lane session."""
+
+    def policy_factory(index: int, lane) -> OnlinePolicy:
+        """Build the policy replica for lane *index*."""
+        return _build_policy(
+            recipe, fn, weights,
+            n=lane.n,
+            algo_seed=_shard_algo_seed(recipe.seed, index, num_shards),
+        )
+
+    return policy_factory
+
+
+def _finish_shard_worker(job: Tuple[WorkloadRecipe, Dict]) -> Tuple[Dict, int]:
     """Spawn-pool body: resume one shard checkpoint, run to completion.
 
     Workers rebuild the utility from the recipe (checkpoints pickle,
@@ -474,15 +650,9 @@ def _finish_shard_worker(job: Tuple[Dict, Dict]) -> Tuple[Dict, int]:
     """
     recipe, shard_ck = job
     fn, _ = build_workload(recipe)
-    if int(shard_ck.get("schema_version", 1)) >= 2:
-        src = source_from_spec(shard_ck["source"], fn)
-        view = ShardView(fn, src.order)
-        counting = CountingOracle(view)
-        run = resume_run(shard_ck, counting, source=src)
-    else:
-        view = ShardView(fn, shard_ck["schedule"]["order"])
-        counting = CountingOracle(view)
-        run = resume_run(shard_ck, counting)
+    src = source_from_spec(shard_ck["source"], fn)
+    counting = CountingOracle(ShardView(fn, src.order))
+    run = resume_run(shard_ck, counting, source=src)
     # Net out what the resume itself billed (evaluator construction,
     # frontier re-derivation): the parent already accounted for those
     # values, so the worker reports only genuinely new queries and the
@@ -492,7 +662,7 @@ def _finish_shard_worker(job: Tuple[Dict, Dict]) -> Tuple[Dict, int]:
     return make_checkpoint(run), counting.calls - restore_overhead
 
 
-class ShardedSession:
+class ShardedSession(OnlineSession):
     """A resumable sharded (workload, policy, arrival process) execution.
 
     The same contract as :class:`OnlineSession`, lifted over a
@@ -500,25 +670,6 @@ class ShardedSession:
     shard, cumulative ``oracle_calls`` across suspend/resume hops, a
     manifest checkpoint any subset of whose shards may be mid-stream.
     """
-
-    def __init__(
-        self,
-        run: ShardedRun,
-        base: SetFunction,
-        countings: List[CountingOracle],
-        recipe: Dict[str, object],
-        prior_calls: int = 0,
-    ) -> None:
-        self.run = run
-        self.base = base
-        self.countings = countings
-        self.recipe = recipe
-        self.prior_calls = int(prior_calls)
-
-    def advance(self, max_arrivals: Optional[int] = None) -> "ShardedSession":
-        """Consume up to *max_arrivals* more arrivals (None = run to completion)."""
-        self.run.run(max_arrivals)
-        return self
 
     def advance_shard(
         self, index: int, max_arrivals: Optional[int] = None
@@ -540,8 +691,7 @@ class ShardedSession:
         if len(pending) <= 1 or workers <= 1:
             return self.advance()
         jobs = [
-            (dict(self.recipe), make_checkpoint(self.run.runs[i]))
-            for i in pending
+            (self.recipe, make_checkpoint(self.run.runs[i])) for i in pending
         ]
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(processes=min(int(workers), len(jobs))) as pool:
@@ -552,45 +702,22 @@ class ShardedSession:
         return self
 
     @property
-    def finished(self) -> bool:
-        """Whether every arrival has been consumed or the policy is done."""
-        return self.run.finished
-
-    @property
     def oracle_calls(self) -> int:
         """Cumulative counted queries: all shards + merge + prior hops."""
-        return (
-            self.prior_calls
-            + sum(c.calls for c in self.countings)
-            + self.run.merge_calls
-        )
+        return super().oracle_calls + self.run.merge_calls
 
     def checkpoint(self) -> Dict[str, object]:
         """Suspend-state payload with the workload recipe attached."""
-        extra = dict(self.recipe)
-        extra["oracle_calls_consumed"] = self.oracle_calls
-        return make_sharded_checkpoint(self.run, extra=extra)
+        return make_sharded_checkpoint(
+            self.run, extra=self.recipe.instance(self.oracle_calls, sharded=True)
+        )
 
     def summary(self) -> Dict[str, object]:
-        """Selection, value, and oracle-call accounting for the run so far."""
-        out: Dict[str, object] = {
-            "policy": self.recipe["policy"],
-            "family": self.recipe["family"],
-            "process": self.recipe["process"],
-            "shards": self.run.num_shards,
-            "n": self.run.n,
-            "cursor": self.run.cursor,
-            "cursors": self.run.cursors,
-            "finished": self.run.finished,
-            "oracle_calls": self.oracle_calls,
-        }
+        """The plain summary plus lane cursors and, once finished, the merge."""
+        out = super().summary()
+        out["shards"] = self.run.num_shards
+        out["cursors"] = self.run.cursors
         if self.run.finished:
-            result = self.run.result()
-            selected = sorted(result.selected, key=repr)
-            out["selected"] = selected
-            out["n_chosen"] = len(selected)
-            out["value"] = float(self.base.value(frozenset(selected)))
-            out["strategy"] = getattr(result, "strategy", None)
             out["shard_n_chosen"] = [
                 len(r.selected) for r in self.run.shard_results()
             ]
@@ -600,99 +727,38 @@ class ShardedSession:
 
 
 def start_sharded_session(
-    policy: str = "monotone",
-    family: str = "additive",
-    n: int = 60,
-    k: int = 4,
-    *,
-    shards: int = 1,
-    seed: int = 0,
-    process: str = "uniform",
-    aux: int = 0,
-    n_knapsacks: int = 2,
-    distribution: str = "uniform",
-    process_params: Optional[Mapping[str, object]] = None,
+    *recipe: object,
     workload_cache: Optional[WorkloadCache] = None,
     fault_injector=None,
     fault_scope: Optional[str] = None,
+    **fields: object,
 ) -> ShardedSession:
-    """Build a fresh sharded session: S policy replicas + merge.
+    """Build a fresh sharded session: ``shards`` policy replicas + merge.
 
-    With a *fault_injector*, each shard's counting oracle is wrapped
-    under its own derived scope (``<fault_scope>#s<index>``) so every
-    shard sees an independent deterministic fault stream.
+    Arguments as for :func:`start_session`; each shard's fault scope is
+    ``<fault_scope>#s<index>``.
     """
-    if shards < 1:
-        raise InvalidInstanceError(f"shards must be >= 1, got {shards}")
-    recipe: Dict[str, object] = {
-        "kind": "secretary-workload",
-        "recipe_version": RECIPE_SCHEMA_VERSION,
-        "policy": policy,
-        "family": family,
-        "n": int(n),
-        "k": int(k),
-        "aux": int(aux),
-        "n_knapsacks": int(n_knapsacks),
-        "distribution": distribution,
-        "seed": int(seed),
-        "process": process,
-        "process_params": dict(process_params or {}),
-        "shards": int(shards),
-    }
-    if workload_cache is None:
-        fn, weights = build_workload(recipe)
-        shared: SetFunction = fn
-    else:
-        fn, weights, shared = workload_cache.lookup(recipe)
-    stream_seed = derive_seed(int(seed), "online-stream")
-    params = dict(process_params or {})
+    spec = WorkloadRecipe.of(*recipe, **fields)
+    fn, weights, shared = _workload(spec, workload_cache)
 
     def source_factory():
         """Build one lazy view of the tenant's full arrival stream."""
-        return build_arrival_source(process, fn, stream_seed, **params)
-
-    counters = ShardCounters()
-    oracle_factory = _shard_oracle_factory(counters, fault_injector, fault_scope)
-
-    def policy_factory(index: int, shard) -> OnlinePolicy:
-        """Build the policy replica for shard *index*."""
-        return _build_policy(
-            recipe, fn, weights,
-            n=shard.n,
-            algo_seed=_shard_algo_seed(int(seed), index, int(shards)),
+        return build_arrival_source(
+            spec.process, fn, spec.stream_seed, **spec.process_params
         )
 
-    can_take, limit = _merge_rule(recipe, weights)
+    counters = ShardCounters()
+    can_take, limit = _merge_rule(spec, weights)
     # Shard views (and the merge stage) delegate to the shared value
     # cache when one is in play — counting stays per shard, above it.
     run = ShardedRun.from_source(
-        shared, source_factory, int(shards), policy_factory,
-        oracle_factory=oracle_factory, can_take=can_take, limit=limit,
+        shared, source_factory, spec.shards,
+        _lane_policies(spec, fn, weights, spec.shards),
+        oracle_factory=_oracle_factory(
+            counters, fault_injector, fault_scope, sharded=True),
+        can_take=can_take, limit=limit,
     )
-    return ShardedSession(run, fn, counters.countings, recipe)
-
-
-def _shard_oracle_factory(
-    counters: ShardCounters, fault_injector, fault_scope: Optional[str]
-):
-    """Per-shard oracle factory: counting, optionally fault-wrapped.
-
-    Without an injector this *is* the plain :class:`ShardCounters`
-    instance (the no-fault path is byte-for-byte the old wiring); with
-    one, each shard's counting oracle is wrapped under a shard-derived
-    scope so fault streams stay deterministic per shard.
-    """
-    if fault_injector is None:
-        return counters
-    scope = fault_scope or "session"
-
-    def factory(index: int, view):
-        """Wrap shard *index*'s counting oracle in its fault scope."""
-        return fault_injector.wrap_oracle(
-            counters(index, view), f"{scope}#s{index}"
-        )
-
-    return factory
+    return ShardedSession(run, fn, counters.countings, spec)
 
 
 def resume_sharded_session(
@@ -709,24 +775,17 @@ def resume_sharded_session(
     cumulative ``oracle_calls`` across hops matches an uninterrupted
     sharded run exactly.
     """
-    recipe = _checked_recipe(checkpoint)
-    if workload_cache is None:
-        fn, weights = build_workload(recipe)
-        shared: SetFunction = fn
-    else:
-        fn, weights, shared = workload_cache.lookup(recipe)
+    recipe, prior = WorkloadRecipe.from_checkpoint(checkpoint)
+    fn, weights, shared = _workload(recipe, workload_cache)
     can_take, _ = _merge_rule(recipe, weights)
     counters = ShardCounters()
-    oracle_factory = _shard_oracle_factory(counters, fault_injector, fault_scope)
     run = resume_sharded_run(
-        checkpoint, shared, oracle_factory=oracle_factory, can_take=can_take
+        checkpoint, shared, can_take=can_take,
+        oracle_factory=_oracle_factory(
+            counters, fault_injector, fault_scope, sharded=True),
     )
-    restore_overhead = sum(c.calls for c in counters.countings)
-    recipe = dict(recipe)
-    prior = int(recipe.pop("oracle_calls_consumed", 0))  # type: ignore[arg-type]
     return ShardedSession(
-        run, fn, counters.countings, recipe,
-        prior_calls=prior - restore_overhead,
+        run, fn, counters.countings, recipe, prior_calls=prior - counters.calls
     )
 
 
@@ -748,53 +807,31 @@ def reshard_session(
     ordinary :func:`resume_sharded_session` / :func:`resume_any_session`
     path.
     """
-    if int(num_shards) < 1:
-        raise InvalidInstanceError(
-            f"shards must be >= 1, got {num_shards}"
-        )
+    num_shards = int(num_shards)
+    if num_shards < 1:
+        raise InvalidInstanceError(f"shards must be >= 1, got {num_shards}")
+    recipe, _ = WorkloadRecipe.from_checkpoint(checkpoint)
     if checkpoint.get("format") != SHARDED_CHECKPOINT_FORMAT:
         raise InvalidInstanceError(
             "only sharded session manifests can be resharded; start the "
             "run with --shards (a --shards 1 manifest counts)"
         )
-    recipe = _checked_recipe(checkpoint)
-    if workload_cache is None:
-        fn, weights = build_workload(recipe)
-    else:
-        fn, weights, _ = workload_cache.lookup(recipe)
-    seed = int(recipe["seed"])  # type: ignore[arg-type]
-
-    def policy_factory(index: int, lane) -> OnlinePolicy:
-        """Seed the policy replica for a lane added by the grow."""
-        return _build_policy(
-            recipe, fn, weights,
-            n=lane.n,
-            algo_seed=_shard_algo_seed(seed, index, int(num_shards)),
-        )
-
+    fn, weights, _ = _workload(recipe, workload_cache)
     out = reshard_manifest(
-        checkpoint, int(num_shards), fn,
-        policy_factory=policy_factory, salt=salt,
+        checkpoint, num_shards, fn,
+        policy_factory=_lane_policies(recipe, fn, weights, num_shards),
+        salt=salt,
     )
-    instance = out.get("instance")
-    if isinstance(instance, dict) and "shards" in instance:
-        instance["shards"] = int(num_shards)
+    out["instance"]["shards"] = num_shards  # type: ignore[index]
     return out
 
 
-def resume_any_session(
-    checkpoint: Mapping[str, object],
-    *,
-    workload_cache: Optional[WorkloadCache] = None,
-    fault_injector=None,
-    fault_scope: Optional[str] = None,
-):
-    """Route a checkpoint payload to the matching resume path."""
-    kwargs = dict(
-        workload_cache=workload_cache,
-        fault_injector=fault_injector,
-        fault_scope=fault_scope,
-    )
-    if checkpoint.get("format") == SHARDED_CHECKPOINT_FORMAT:
-        return resume_sharded_session(checkpoint, **kwargs)  # type: ignore[arg-type]
-    return resume_session(checkpoint, **kwargs)  # type: ignore[arg-type]
+def resume_any_session(checkpoint: Mapping[str, object], **kwargs):
+    """Route a checkpoint payload to the matching resume path.
+
+    Keywords (``workload_cache``, ``fault_injector``, ``fault_scope``)
+    pass through to :func:`resume_session` / :func:`resume_sharded_session`.
+    """
+    sharded = checkpoint.get("format") == SHARDED_CHECKPOINT_FORMAT
+    return (resume_sharded_session if sharded else resume_session)(
+        checkpoint, **kwargs)

@@ -8,6 +8,7 @@ idle and drain checkpoints resume to the uninterrupted result.
 """
 
 import asyncio
+import dataclasses
 import json
 import os
 
@@ -75,8 +76,8 @@ class TestConcurrentEqualsSequential:
             "replicate": {"count": 5, "family": "coverage", "n": 24,
                           "k": 3, "policy": "robust", "seed_start": 0},
         })
-        for spec in specs:
-            spec.seed = 7  # same workload for every tenant
+        for spec in specs:  # same workload for every tenant
+            spec.recipe = dataclasses.replace(spec.recipe, seed=7)
         cache = WorkloadCache()
         report = ServingLoop(specs, workload_cache=cache).serve()
         expected = sequential_summaries(specs)

@@ -333,7 +333,7 @@ class TestSchemaVersioning:
                 "state": run.policy.state_dict(),
             },
             "instance": {
-                k: v for k, v in session.recipe.items()
+                k: v for k, v in session.checkpoint()["instance"].items()
                 if k != "recipe_version"
             },
         }

@@ -31,6 +31,7 @@ from repro.online.driver import OnlineRun
 from repro.online.policies import SegmentedSubmodularPolicy
 from repro.online.session import (
     SESSION_POLICIES,
+    WorkloadRecipe,
     _build_policy,
     _merge_rule,
     _shard_algo_seed,
@@ -237,19 +238,18 @@ class TestStrictFingerprintState:
 
 
 def _recipe(policy, process, shards=1):
-    return {
-        "kind": "secretary-workload",
-        "policy": policy,
-        "family": "additive",
-        "n": N,
-        "k": K,
-        "aux": 0,
-        "n_knapsacks": 2,
-        "distribution": "uniform",
-        "seed": SEED,
-        "process": process,
-        "shards": shards,
-    }
+    return WorkloadRecipe(
+        policy=policy,
+        family="additive",
+        n=N,
+        k=K,
+        aux=0,
+        n_knapsacks=2,
+        distribution="uniform",
+        seed=SEED,
+        process=process,
+        shards=shards,
+    )
 
 
 def _materialized_run(policy, process, shards, params):
