@@ -10,20 +10,24 @@ those objects and churning dict/frozenset copies dominated the
 * every left/right vertex is assigned a dense ``int`` id (in sorted-repr
   order, which also makes the returned matchings independent of hash
   randomisation);
-* adjacency is a contiguous ``list[list[int]]``;
+* adjacency is a contiguous ``list[list[int]]`` per side, each row
+  sorted by index;
 * matchings are flat ``list[int]`` arrays with ``-1`` for unmatched;
 * allowed-subset restrictions are byte masks;
 * DFS "visited" sets are version-stamped int arrays, so probes reuse one
   buffer instead of allocating a set per augmentation.
 
 The view is built once per :class:`~repro.matching.graph.BipartiteGraph`
-(see :func:`indexed_view`) and shared by every solver touching the graph.
+(see :func:`indexed_view`) and shared by every solver touching the graph:
+Hopcroft–Karp and the Kuhn searches of the cardinality oracle walk
+``adj`` from the slot side, the weighted greedy of Lemma 2.3.2
+(:func:`weighted_greedy`) walks ``radj`` from the job side.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.matching.graph import BipartiteGraph, Matching, Vertex
 
@@ -34,6 +38,7 @@ __all__ = [
     "kuhn_augment",
     "kuhn_search",
     "apply_augmenting_path",
+    "weighted_greedy",
 ]
 
 _INF = float("inf")
@@ -49,6 +54,7 @@ class IndexedView:
         "left_index",
         "right_index",
         "adj",
+        "_radj",
         "n_left",
         "n_right",
     )
@@ -65,6 +71,23 @@ class IndexedView:
         ]
         self.n_left = len(self.left_ids)
         self.n_right = len(self.right_ids)
+        self._radj: Optional[List[List[int]]] = None
+
+    @property
+    def radj(self) -> List[List[int]]:
+        """Right-to-left adjacency, built on first use.
+
+        Only the weighted greedy walks it, so the cardinality solvers
+        never pay for it.  Rows come out sorted because left indices are
+        visited in increasing order.
+        """
+        if self._radj is None:
+            radj: List[List[int]] = [[] for _ in range(self.n_right)]
+            for i, row in enumerate(self.adj):
+                for j in row:
+                    radj[j].append(i)
+            self._radj = radj
+        return self._radj
 
     # -- conversions ---------------------------------------------------
 
@@ -283,3 +306,63 @@ def kuhn_augment(
         return False
     apply_augmenting_path(match_l, match_r, free_right, parent)
     return True
+
+
+def weighted_greedy(
+    view: IndexedView, order: Sequence[int], allowed: bytearray
+) -> Tuple[List[int], List[int]]:
+    """Matroid greedy over right vertices in *order*, using allowed left ones.
+
+    Each right vertex (job) is accepted iff an augmenting path from it
+    reaches a free left vertex (slot) with ``allowed[i]`` set, keeping
+    every earlier accepted job matched.  The jobs matchable into the
+    allowed slots form a transversal matroid, so for *order* sorted by
+    non-increasing value the accepted set is a maximum job-value
+    matching (Lemma 2.3.2); the accepted *set* depends only on *order*,
+    never on which augmenting path a search finds.
+
+    Returns ``(match_l, accepted)``: the final matching's left array and
+    the accepted right indices in acceptance order.
+
+    Cost: one iterative DFS over ``radj`` per job, ``O(|order| * E)`` in
+    the worst case, with two exact shortcuts:
+
+    * a failed search leaves the matching untouched, so its stamped
+      slots stay dead ends for the next job; the stamp is bumped only
+      after a success (the Kuhn phase trick of :func:`kuhn_search`);
+    * once every allowed slot is matched no later job can be accepted,
+      so the loop stops.
+    """
+    radj = view.radj
+    match_l = [-1] * view.n_left
+    match_r = [-1] * view.n_right
+    visited = [0] * view.n_left
+    parent = [-1] * view.n_left
+    stamp = 1
+    room = allowed.count(1)
+    accepted: List[int] = []
+    for start in order:
+        if not room:
+            break
+        stack = [start]
+        free = -1
+        while stack and free < 0:
+            j = stack.pop()
+            for i in radj[j]:
+                if not allowed[i] or visited[i] == stamp:
+                    continue
+                visited[i] = stamp
+                parent[i] = j
+                w = match_l[i]
+                if w < 0:
+                    free = i
+                    break
+                stack.append(w)
+        if free < 0:
+            continue
+        # The same flip with the sides swapped: walk back from the slot.
+        apply_augmenting_path(match_r, match_l, free, parent)
+        accepted.append(start)
+        room -= 1
+        stamp += 1
+    return match_l, accepted

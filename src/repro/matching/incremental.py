@@ -5,7 +5,12 @@ Two layers:
 * :class:`MatchingUtility` / :class:`WeightedMatchingUtility` — the
   submodular functions of Lemmas 2.2.2 and 2.3.2 packaged as plain
   value oracles over slot subsets.  These are what the budgeted greedy
-  optimises in Theorems 2.2.1 / 2.3.1.
+  optimises in Theorems 2.2.1 / 2.3.1.  ``MatchingUtility`` runs
+  Hopcroft–Karp per query, ``O(E sqrt(V))``.  ``WeightedMatchingUtility``
+  sorts the jobs by value once at construction; each query is one run
+  of the matroid greedy kernel
+  (:func:`~repro.matching.fastgraph.weighted_greedy`), ``O(|Y| * E)``
+  worst case, and its matching does not depend on ``PYTHONHASHSEED``.
 
 * :class:`IncrementalMatchingOracle` — the performance-critical version
   for the cardinality case.  The greedy asks for ``F(S ∪ I) - F(S)``
@@ -19,10 +24,11 @@ Two layers:
   Lemma 2.1.1 accounting.
 
 All state lives on the graph's int-indexed view
-(:mod:`repro.matching.fastgraph`): the matching is a pair of flat int
-arrays, the committed set a byte mask, and a probe costs two
-``list.copy()`` calls plus one stamped DFS per new slot — no dict or
-frozenset churn on the hot path.
+(:mod:`repro.matching.fastgraph`): matchings are flat int arrays and
+slot sets byte masks.  An incremental probe costs one stamped DFS per
+new slot and copies the matching arrays only once an augmentation
+succeeds, so a gain-0 probe allocates nothing — no dict or frozenset
+churn on the hot path.
 """
 
 from __future__ import annotations
@@ -35,10 +41,10 @@ from repro.matching.fastgraph import (
     hk_solve,
     indexed_view,
     kuhn_search,
+    weighted_greedy,
 )
 from repro.matching.graph import BipartiteGraph, Matching, Vertex
 from repro.matching.hopcroft_karp import hopcroft_karp
-from repro.matching.weighted import max_weight_matching, weighted_matching_value
 
 __all__ = ["MatchingUtility", "WeightedMatchingUtility", "IncrementalMatchingOracle"]
 
@@ -67,23 +73,47 @@ class MatchingUtility(SetFunction):
 class WeightedMatchingUtility(SetFunction):
     """``F(S) = max job-value matching saturating only slots in S``.
 
-    The prize-collecting utility of Lemma 2.3.2.
+    The prize-collecting utility of Lemma 2.3.2.  The job order of the
+    matroid greedy (non-increasing value, ties by ``repr``) and the value
+    list are built once here; each :meth:`value` / :meth:`best_matching`
+    is one :func:`~repro.matching.fastgraph.weighted_greedy` run on the
+    graph's shared indexed view, restricted to S by a byte mask (vertices
+    outside the graph are ignored).  Jobs missing from *job_values* are
+    worth 0.0 and are still matched when room remains.
+
+    Raises ``ValueError`` when any job value is negative: the paper's
+    prize-collecting model has non-negative prizes.
     """
 
     def __init__(self, graph: BipartiteGraph, job_values: Mapping[Vertex, float]):
         self.graph = graph
         self.job_values = {k: float(v) for k, v in job_values.items()}
+        negative = [j for j, v in self.job_values.items() if v < 0]
+        if negative:
+            raise ValueError(
+                f"job values must be non-negative: {sorted(map(repr, negative))[:5]}"
+            )
+        self._view = indexed_view(graph)
+        self._values = [self.job_values.get(y, 0.0) for y in self._view.right_ids]
+        # Right indices follow repr order, so a stable sort on -value is
+        # the (-value, repr) order.
+        self._order = sorted(range(self._view.n_right), key=lambda j: -self._values[j])
 
     @property
     def ground_set(self) -> FrozenSet[Vertex]:
         return self.graph.left
 
     def value(self, subset: FrozenSet[Vertex]) -> float:
-        return weighted_matching_value(self.graph, self.job_values, subset)
+        _, accepted = weighted_greedy(self._view, self._order, self._view.mask_of(subset))
+        # Summed in acceptance order, which no set iteration order can
+        # change, so F(S) is the same float on every run.
+        values = self._values
+        return float(sum([values[j] for j in accepted]))
 
     def best_matching(self, subset: Iterable[Vertex]) -> Matching:
         """The optimal matching itself (used to extract the schedule)."""
-        return max_weight_matching(self.graph, self.job_values, frozenset(subset))
+        match_l, _ = weighted_greedy(self._view, self._order, self._view.mask_of(subset))
+        return self._view.arrays_to_matching(match_l)
 
 
 class IncrementalMatchingOracle(SetFunction):

@@ -4,10 +4,18 @@ Lemma 2.3.2 needs ``F(S) = maximum weight of a matching saturating only
 slots of S``, where a matching's weight is the sum of the *values of the
 jobs it saturates*.  Because weights sit on one side only, the family of
 job sets matchable into ``S`` is a transversal matroid, and the matroid
-greedy is exact: process jobs in non-increasing value order and accept a
-job iff an augmenting path (holding all previously accepted jobs
-matched) exists.  The feasibility test is a single Kuhn augmentation
-from the job side, so the whole solve is ``O(|Y| * E)``.
+greedy is exact: process jobs in non-increasing value order (ties by
+``repr``) and accept a job iff an augmenting path (holding all
+previously accepted jobs matched) exists.
+
+That greedy is one kernel, :func:`repro.matching.fastgraph.weighted_greedy`,
+on the graph's shared int-indexed view: one job-side Kuhn search per
+job, ``O(|Y| * E)`` in the worst case, with failed searches sharing their
+visited marks and an early stop once every allowed slot is matched.
+:class:`~repro.matching.incremental.WeightedMatchingUtility` sorts the
+jobs once and runs the kernel per query; the functions here are one-shot
+wrappers over it.  Searches walk index-sorted adjacency, so the returned
+matching does not depend on ``PYTHONHASHSEED``.
 
 This gives a *certified optimal* weighted matching without implementing
 a general Hungarian algorithm — and the greedy's exactness is itself a
@@ -16,59 +24,12 @@ matroid fact the property tests verify against brute force.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set
+from typing import Iterable, Mapping, Optional
 
 from repro.matching.graph import BipartiteGraph, Matching, Vertex
+from repro.matching.incremental import WeightedMatchingUtility
 
 __all__ = ["max_weight_matching", "weighted_matching_value"]
-
-
-def _augment_from_right(
-    graph: BipartiteGraph,
-    matching: Matching,
-    start: Vertex,
-    allowed: FrozenSet[Vertex],
-) -> bool:
-    """Kuhn augmentation from free job *start* over slots in *allowed*.
-
-    Iterative with explicit parent pointers (mirror image of
-    :func:`repro.matching.hopcroft_karp.augment_from_left`).
-    """
-    adj = graph.adj_right()
-    match_l = matching.left_to_right
-    match_r = matching.right_to_left
-
-    parent: Dict[Vertex, Vertex] = {}  # slot -> job we reached it from
-    visited_slots: Set[Vertex] = set()
-    stack = [start]
-    free_slot: Optional[Vertex] = None
-
-    while stack and free_slot is None:
-        y = stack.pop()
-        for x in adj[y]:
-            if x not in allowed or x in visited_slots:
-                continue
-            visited_slots.add(x)
-            parent[x] = y
-            w = match_l.get(x)
-            if w is None:
-                free_slot = x
-                break
-            stack.append(w)
-
-    if free_slot is None:
-        return False
-
-    x = free_slot
-    while True:
-        y = parent[x]
-        prev_x = match_r.get(y)
-        match_l[x] = y
-        match_r[y] = x
-        if prev_x is None:
-            break
-        x = prev_x
-    return True
 
 
 def max_weight_matching(
@@ -83,18 +44,8 @@ def max_weight_matching(
     all-equal values.  Negative job values are rejected: the paper's
     prize-collecting model has non-negative prizes.
     """
-    negative = [j for j, v in job_values.items() if v < 0]
-    if negative:
-        raise ValueError(f"job values must be non-negative: {sorted(map(repr, negative))[:5]}")
-    allowed: FrozenSet[Vertex] = (
-        graph.left if allowed_left is None else frozenset(allowed_left) & graph.left
-    )
-    matching = Matching()
-    # Sort by value descending; tie-break on repr for determinism.
-    order = sorted(graph.right, key=lambda y: (-job_values.get(y, 0.0), repr(y)))
-    for y in order:
-        _augment_from_right(graph, matching, y, allowed)
-    return matching
+    utility = WeightedMatchingUtility(graph, job_values)
+    return utility.best_matching(graph.left if allowed_left is None else allowed_left)
 
 
 def weighted_matching_value(
@@ -103,5 +54,5 @@ def weighted_matching_value(
     allowed_left: Optional[Iterable[Vertex]] = None,
 ) -> float:
     """``F(S)`` of Lemma 2.3.2 — the optimal scheduled job value using S."""
-    matching = max_weight_matching(graph, job_values, allowed_left)
-    return float(sum(job_values.get(y, 0.0) for y in matching.right_to_left))
+    utility = WeightedMatchingUtility(graph, job_values)
+    return utility.value(graph.left if allowed_left is None else allowed_left)

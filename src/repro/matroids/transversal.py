@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import FrozenSet, Hashable, Iterable, Mapping
 
-from repro.matching.graph import BipartiteGraph, Matching
-from repro.matching.weighted import _augment_from_right
+from repro.matching.fastgraph import indexed_view, weighted_greedy
+from repro.matching.graph import BipartiteGraph
 from repro.matroids.base import Matroid
 
 __all__ = ["TransversalMatroid"]
@@ -32,13 +32,14 @@ class TransversalMatroid(Matroid):
         self._ground = frozenset(self._adjacency)
         resources = frozenset().union(*self._adjacency.values()) if self._adjacency else frozenset()
         # Elements live on the RIGHT side of the matching substrate so we
-        # can reuse the job-side augmentation directly.
+        # can reuse the job-side greedy directly.
         self._graph = BipartiteGraph(
             left=resources,
             right=self._ground,
             edges=[(r, e) for e, rs in self._adjacency.items() for r in rs],
         )
-        self._resources = resources
+        self._view = indexed_view(self._graph)
+        self._all = bytearray(b"\x01") * self._view.n_left
 
     @property
     def ground_set(self) -> FrozenSet[Hashable]:
@@ -48,8 +49,7 @@ class TransversalMatroid(Matroid):
         s = frozenset(subset)
         if not s <= self._ground:
             return False
-        matching = Matching()
-        for e in sorted(s, key=repr):
-            if not _augment_from_right(self._graph, matching, e, self._resources):
-                return False
-        return True
+        index = self._view.right_index
+        order = [index[e] for e in s]
+        _, accepted = weighted_greedy(self._view, order, self._all)
+        return len(accepted) == len(order)

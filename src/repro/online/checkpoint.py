@@ -40,7 +40,7 @@ from repro.online.arrivals import (
     source_from_spec,
 )
 from repro.online.driver import OnlineRun
-from repro.online.policies import OnlinePolicy, make_policy
+from repro.online.policies import OnlinePolicy, check_policy_block, make_policy
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -214,7 +214,8 @@ def resume_run(
             f"not a {CHECKPOINT_FORMAT} payload: {checkpoint.get('format')!r}"
         )
     check_schema_version(checkpoint)
-    spec = checkpoint["policy"]
+    spec = checkpoint.get("policy")
+    check_policy_block(spec)
     if policy is None:
         policy = make_policy(
             str(spec["name"]), spec["config"], **dict(deps or {})  # type: ignore[index]

@@ -82,6 +82,9 @@ __all__ = [
     "POLICIES",
     "register_policy",
     "make_policy",
+    "check_policy_block",
+    "check_saved_policy",
+    "check_state",
     "policy_names",
     "nonmonotone_half_policy",
 ]
@@ -108,10 +111,98 @@ def _decode_element_map(encoded) -> Dict[Hashable, float]:
     return {e: float(v) for e, v in encoded}
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_element(value: object) -> bool:
+    return isinstance(value, (int, str)) and not isinstance(value, bool)
+
+
+_NONE = type(None)
+
+#: Scalar kinds of a policy state schema: kind -> (description, the
+#: exact types JSON decodes them to, the full check).  The type-set test
+#: is the fast path; the check also admits subclasses such as numpy
+#: floats and rejects bools where an int is meant.  Elements are ints
+#: or strings, as in the decision log.
+_STATE_KINDS: Dict[str, Tuple[str, frozenset, Callable[[object], bool]]] = {
+    "int": ("an integer", frozenset({int}),
+            lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "flag": ("a boolean", frozenset({bool}), lambda v: isinstance(v, bool)),
+    "number": ("a number", frozenset({int, float}), _is_number),
+    "number?": ("a number or null", frozenset({int, float, _NONE}),
+                lambda v: v is None or _is_number(v)),
+    "element": ("an element (int or string)", frozenset({int, str}), _is_element),
+    "element?": ("an element (int or string) or null", frozenset({int, str, _NONE}),
+                 lambda v: v is None or _is_element(v)),
+    "object": ("an object", frozenset({dict}), lambda v: isinstance(v, dict)),
+}
+
+
+def _mismatch(value: object, schema: object) -> Optional[Tuple[str, str]]:
+    """``(path below value, problem)`` of the first mismatch, or ``None``.
+
+    Paths are built only on failure: resume runs this for every tenant.
+    """
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            return "", f"must be an object, got {value!r}"
+        if value.keys() != schema.keys():
+            for key in value:
+                if key not in schema:
+                    return f".{key}", "is not a field of this state"
+            return "." + next(key for key in schema if key not in value), "is missing"
+        for key, kind in schema.items():
+            v = value[key]
+            if isinstance(kind, str):
+                what, types, ok = _STATE_KINDS[kind]
+                if type(v) not in types and not ok(v):
+                    return f".{key}", f"must be {what}, got {v!r}"
+            else:
+                bad = _mismatch(v, kind)
+                if bad is not None:
+                    return f".{key}{bad[0]}", bad[1]
+        return None
+    if isinstance(schema, list):
+        if not isinstance(value, list):
+            return "", f"must be a list, got {value!r}"
+        (item,) = schema
+        if isinstance(item, str) and all(type(v) in _STATE_KINDS[item][1] for v in value):
+            return None
+        for i, v in enumerate(value):
+            bad = _mismatch(v, item)
+            if bad is not None:
+                return f"[{i}]{bad[0]}", bad[1]
+        return None
+    if isinstance(schema, tuple):
+        return None if value in schema else ("", f"must be one of {list(schema)}, got {value!r}")
+    what, types, ok = _STATE_KINDS[schema]  # type: ignore[index]
+    return None if type(value) in types or ok(value) else ("", f"must be {what}, got {value!r}")
+
+
+def check_state(value: object, schema: object, field: str = "policy.state") -> None:
+    """Check a saved policy state against *schema*; errors name the field.
+
+    A schema is a scalar kind of :data:`_STATE_KINDS`, a tuple of the
+    allowed strings, a dict (an object with exactly these keys, each
+    with its own schema) or a one-item list (a list whose items all
+    match that schema).  A missing, unknown or mistyped key raises
+    :class:`InvalidInstanceError` naming it, e.g.
+    ``policy.state.traces[0].gain must be a number``.  O(size of *value*).
+    """
+    bad = _mismatch(value, schema)
+    if bad is not None:
+        raise InvalidInstanceError(f"{field}{bad[0]} {bad[1]}")
+
+
 class OnlinePolicy(abc.ABC):
     """One online decision rule over a stream of arrivals."""
 
     name: str = ""
+    #: Schema of :meth:`state_dict` output (see :func:`check_state`);
+    #: ``None`` leaves the state unchecked.
+    STATE_SCHEMA: Optional[Dict[str, object]] = None
 
     def __init__(self) -> None:
         self._oracle = None
@@ -191,8 +282,17 @@ class OnlinePolicy(abc.ABC):
         """JSON-able mutable state (call after :meth:`bind`)."""
 
     @abc.abstractmethod
-    def load_state(self, state: Mapping[str, object]) -> None:
-        """Restore :meth:`state_dict` output (call after :meth:`bind`)."""
+    def load_state(self, state: Mapping[str, object], field: str = "policy.state") -> None:
+        """Restore :meth:`state_dict` output (call after :meth:`bind`).
+
+        A state that does not match :attr:`STATE_SCHEMA` raises
+        :class:`InvalidInstanceError` naming the key under *field*.
+        """
+
+    @classmethod
+    def state_schema(cls, config: Mapping[str, object]) -> Optional[Dict[str, object]]:
+        """Schema of the state a policy built from *config* saves."""
+        return cls.STATE_SCHEMA
 
     @classmethod
     def from_config(cls, config: Mapping[str, object], **deps) -> "OnlinePolicy":
@@ -226,6 +326,22 @@ class SegmentedSubmodularPolicy(OnlinePolicy):
     """
 
     name = "segmented"
+    STATE_SCHEMA = {
+        "selected": ["element"],
+        "base": ["element"],
+        "seg": "int",
+        "threshold": "number?",
+        "picked": "element?",
+        "best_gain": "number",
+        "current_value": "number",
+        "done": "flag",
+        "closed_tail": "flag",
+        "traces": [{
+            "segment": "int", "start": "int", "observe_until": "int",
+            "end": "int", "threshold": "number?", "picked": "element?",
+            "gain": "number",
+        }],
+    }
 
     def __init__(
         self,
@@ -488,8 +604,9 @@ class SegmentedSubmodularPolicy(OnlinePolicy):
             ],
         }
 
-    def load_state(self, state: Mapping[str, object]) -> None:
+    def load_state(self, state: Mapping[str, object], field: str = "policy.state") -> None:
         """Restore mutable state from a :meth:`state_dict` payload."""
+        check_state(state, self.STATE_SCHEMA, field)
         self._selected = list(state["selected"])  # type: ignore[arg-type]
         self._selected_set = set(self._selected)
         self._base = frozenset(state["base"])  # type: ignore[arg-type]
@@ -543,6 +660,7 @@ class BestSingletonPolicy(OnlinePolicy):
     """
 
     name = "best_singleton"
+    STATE_SCHEMA = {"best": "number?", "hired": "element?", "done": "flag"}
 
     def __init__(
         self,
@@ -625,8 +743,9 @@ class BestSingletonPolicy(OnlinePolicy):
             "done": self._done,
         }
 
-    def load_state(self, state: Mapping[str, object]) -> None:
+    def load_state(self, state: Mapping[str, object], field: str = "policy.state") -> None:
         """Restore mutable state from a :meth:`state_dict` payload."""
+        check_state(state, self.STATE_SCHEMA, field)
         self._best = decode_float(state["best"])  # type: ignore[arg-type]
         self._hired = state["hired"]
         self._done = bool(state["done"])
@@ -639,6 +758,9 @@ class RobustTopKPolicy(OnlinePolicy):
     """k segments, an independent classical rule on raw values in each."""
 
     name = "robust_topk"
+    STATE_SCHEMA = {
+        "seg": "int", "best": "number?", "per_segment": ["element?"], "done": "flag",
+    }
 
     def __init__(self, values: Mapping[Hashable, float], k: int) -> None:
         super().__init__()
@@ -706,8 +828,9 @@ class RobustTopKPolicy(OnlinePolicy):
             "done": self._done,
         }
 
-    def load_state(self, state: Mapping[str, object]) -> None:
+    def load_state(self, state: Mapping[str, object], field: str = "policy.state") -> None:
         """Restore mutable state from a :meth:`state_dict` payload."""
+        check_state(state, self.STATE_SCHEMA, field)
         self._seg = int(state["seg"])  # type: ignore[arg-type]
         self._best = decode_float(state["best"])  # type: ignore[arg-type]
         self._per_segment = list(state["per_segment"])  # type: ignore[arg-type]
@@ -722,6 +845,7 @@ class BottleneckPolicy(OnlinePolicy):
     """Observe a 1/k fraction, then hire the first k above its best."""
 
     name = "bottleneck"
+    STATE_SCHEMA = {"threshold": "number?", "selected": ["element"], "done": "flag"}
 
     def __init__(self, values: Mapping[Hashable, float], k: int) -> None:
         super().__init__()
@@ -792,8 +916,9 @@ class BottleneckPolicy(OnlinePolicy):
             "done": self._done,
         }
 
-    def load_state(self, state: Mapping[str, object]) -> None:
+    def load_state(self, state: Mapping[str, object], field: str = "policy.state") -> None:
         """Restore mutable state from a :meth:`state_dict` payload."""
+        check_state(state, self.STATE_SCHEMA, field)
         self._threshold = decode_float(state["threshold"])  # type: ignore[arg-type]
         self._selected = list(state["selected"])  # type: ignore[arg-type]
         self._done = bool(state["done"])
@@ -814,6 +939,16 @@ class KnapsackSecretaryPolicy(OnlinePolicy):
     """
 
     name = "knapsack"
+    #: The tails rule's state; a heads policy saves its singleton rule's.
+    STATE_SCHEMA = {
+        "phase": ("collect", "filter"),
+        "first_half": ["element"],
+        "bar": "number",
+        "load": "number",
+        "value": "number",
+        "selected": ["element"],
+        "done": "flag",
+    }
 
     def __init__(
         self,
@@ -955,10 +1090,18 @@ class KnapsackSecretaryPolicy(OnlinePolicy):
             "done": self._done,
         }
 
-    def load_state(self, state: Mapping[str, object]) -> None:
+    @classmethod
+    def state_schema(cls, config: Mapping[str, object]) -> Dict[str, object]:
+        """The singleton rule's state for heads, the tails rule's otherwise."""
+        if config.get("heads") is True:
+            return {"singleton": BestSingletonPolicy.STATE_SCHEMA}
+        return cls.STATE_SCHEMA
+
+    def load_state(self, state: Mapping[str, object], field: str = "policy.state") -> None:
         """Restore mutable state from a :meth:`state_dict` payload."""
+        check_state(state, self.state_schema({"heads": self.heads}), field)
         if self.heads:
-            self._singleton.load_state(state["singleton"])  # type: ignore[arg-type]
+            self._singleton.load_state(state["singleton"], f"{field}.singleton")  # type: ignore[arg-type]
             return
         self._phase = str(state["phase"])
         self._first_half = list(state["first_half"])  # type: ignore[arg-type]
@@ -983,6 +1126,7 @@ class SubadditiveSegmentPolicy(OnlinePolicy):
     """
 
     name = "subadditive_segment"
+    STATE_SCHEMA = {"selected": ["element"], "done": "flag"}
 
     def __init__(self, k: int, target: int) -> None:
         super().__init__()
@@ -1029,8 +1173,9 @@ class SubadditiveSegmentPolicy(OnlinePolicy):
         """JSON-able mutable state; inverse of :meth:`load_state`."""
         return {"selected": list(self._selected), "done": self._done}
 
-    def load_state(self, state: Mapping[str, object]) -> None:
+    def load_state(self, state: Mapping[str, object], field: str = "policy.state") -> None:
         """Restore mutable state from a :meth:`state_dict` payload."""
+        check_state(state, self.STATE_SCHEMA, field)
         self._selected = list(state["selected"])  # type: ignore[arg-type]
         self._done = bool(state["done"])
 
@@ -1048,6 +1193,9 @@ class MatroidSecretaryPolicy(OnlinePolicy):
     """
 
     name = "matroid"
+    #: The inner rule (picked from the matroid ranks at bind time)
+    #: checks its own state.
+    STATE_SCHEMA = {"inner": "object"}
 
     def __init__(self, matroids: Sequence, k_guess: int) -> None:
         super().__init__()
@@ -1129,9 +1277,10 @@ class MatroidSecretaryPolicy(OnlinePolicy):
         """JSON-able mutable state; inverse of :meth:`load_state`."""
         return {"inner": self._inner.state_dict()}
 
-    def load_state(self, state: Mapping[str, object]) -> None:
+    def load_state(self, state: Mapping[str, object], field: str = "policy.state") -> None:
         """Restore mutable state from a :meth:`state_dict` payload."""
-        self._inner.load_state(state["inner"])  # type: ignore[arg-type]
+        check_state(state, self.STATE_SCHEMA, field)
+        self._inner.load_state(state["inner"], f"{field}.inner")  # type: ignore[arg-type]
 
 
 # -- registry ---------------------------------------------------------------
@@ -1150,6 +1299,41 @@ def register_policy(cls: Type[OnlinePolicy]) -> Type[OnlinePolicy]:
 def policy_names() -> Tuple[str, ...]:
     """Sorted names of every registered policy."""
     return tuple(sorted(POLICIES))
+
+
+def check_policy_block(block: object, field: str = "policy") -> None:
+    """Check the shape of a checkpoint's ``policy`` block.
+
+    It must be an object with ``name``, ``config`` (an object) and
+    ``state``; errors name the field under *field*.  The state itself is
+    checked by the policy's ``load_state`` (see :func:`check_saved_policy`
+    for a block that is carried without loading it).
+    """
+    if not isinstance(block, Mapping):
+        raise InvalidInstanceError(f"{field} must be an object, got {block!r}")
+    for key in ("name", "config", "state"):
+        if key not in block:
+            raise InvalidInstanceError(f"{field}.{key} is missing")
+    if not isinstance(block["config"], Mapping):
+        raise InvalidInstanceError(
+            f"{field}.config must be an object, got {block['config']!r}"
+        )
+
+
+def check_saved_policy(block: object, field: str = "policy") -> None:
+    """:func:`check_policy_block`, plus the state, without building the policy.
+
+    A registered policy's state must match its
+    :meth:`~OnlinePolicy.state_schema` for the block's config.  For
+    blocks that are copied rather than loaded, such as the carried lanes
+    of a reshard.  O(|state|).
+    """
+    check_policy_block(block, field)
+    name = block["name"]  # type: ignore[index]
+    cls = POLICIES.get(name) if isinstance(name, str) else None
+    schema = None if cls is None else cls.state_schema(block["config"])  # type: ignore[index]
+    if schema is not None:
+        check_state(block["state"], schema, f"{field}.state")  # type: ignore[index]
 
 
 def make_policy(name: str, config: Mapping[str, object], **deps) -> OnlinePolicy:

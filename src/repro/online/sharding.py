@@ -83,7 +83,7 @@ from repro.online.checkpoint import (
     resume_run,
 )
 from repro.online.driver import OnlineRun
-from repro.online.policies import OnlinePolicy
+from repro.online.policies import OnlinePolicy, check_saved_policy
 from repro.online.results import SecretaryResult
 
 __all__ = [
@@ -1198,6 +1198,13 @@ def reshard_manifest(
     if not isinstance(entries, list) or not entries:
         raise InvalidInstanceError("sharded checkpoint has no shard entries")
     partition = partition_from_manifest(manifest)
+    # Carried lanes keep their policy state verbatim: check it here, so a
+    # tampered lane fails the reshard rather than a later resume.
+    for i, entry in enumerate(entries):
+        check_saved_policy(
+            entry.get("policy") if isinstance(entry, Mapping) else None,
+            f"shards[{i}].policy",
+        )
     if (
         int(num_shards) == partition.num_shards
         and (salt is None or int(salt) == partition.salt)

@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import InfeasibleError, InvalidInstanceError
 from repro.matching.hopcroft_karp import hopcroft_karp
-from repro.matching.weighted import max_weight_matching, weighted_matching_value
+from repro.matching.incremental import WeightedMatchingUtility
 from repro.scheduling.instance import ScheduleInstance
 from repro.scheduling.intervals import AwakeInterval
 from repro.scheduling.schedule import Schedule
@@ -132,8 +132,7 @@ def optimal_prize_collecting_bruteforce(
     limit: int = _DEFAULT_LIMIT,
 ) -> ExactResult:
     """Minimum-cost collection achieving scheduled value >= target, certified."""
-    graph = instance.bipartite_graph()
-    values = instance.job_values()
+    weighted = WeightedMatchingUtility(instance.bipartite_graph(), instance.job_values())
     pool, slot_map, costs = _pool_and_costs(instance, candidates, limit)
 
     suffix_slots: List[FrozenSet] = [frozenset()] * (len(pool) + 1)
@@ -144,8 +143,7 @@ def optimal_prize_collecting_bruteforce(
     best_choice: Optional[List[AwakeInterval]] = None
     nodes = 0
 
-    def utility(slots: FrozenSet) -> float:
-        return weighted_matching_value(graph, values, slots)
+    utility = weighted.value
 
     def dfs(i: int, chosen: List[AwakeInterval], cost: float, slots: FrozenSet) -> None:
         nonlocal best_cost, best_choice, nodes
@@ -172,7 +170,7 @@ def optimal_prize_collecting_bruteforce(
     slots = set()
     for iv in best_choice:
         slots |= slot_map[iv]
-    matching = max_weight_matching(graph, values, frozenset(slots))
+    matching = weighted.best_matching(slots)
     assignment = {job: slot for slot, job in matching.left_to_right.items()}
     schedule = Schedule(intervals=best_choice, assignment=assignment)
     schedule.validate(instance)

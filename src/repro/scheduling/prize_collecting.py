@@ -69,7 +69,7 @@ def _prepare_weighted(
     instance: ScheduleInstance,
     candidates: Optional[Sequence[AwakeInterval]],
 ):
-    graph = instance.bipartite_graph()
+    """Slot map, costs and ``F`` of the usable finite-cost candidates."""
     pool = list(candidates) if candidates is not None else instance.candidates()
     if not pool:
         raise InfeasibleError("no candidate awake intervals available")
@@ -82,8 +82,8 @@ def _prepare_weighted(
         del costs[iv]
     if not slot_map:
         raise InfeasibleError("no finite-cost candidate interval covers any usable slot")
-    utility = WeightedMatchingUtility(graph, instance.job_values())
-    return graph, slot_map, costs, utility
+    utility = WeightedMatchingUtility(instance.bipartite_graph(), instance.job_values())
+    return slot_map, costs, utility
 
 
 def _extract(utility: WeightedMatchingUtility, greedy: GreedyResult) -> Schedule:
@@ -109,8 +109,16 @@ def prize_collecting_schedule(
     """
     if target_value < 0:
         raise BudgetError(f"target value must be non-negative, got {target_value}")
-    graph, slot_map, costs, utility = _prepare_weighted(instance, candidates)
+    return _bicriteria(
+        instance, _prepare_weighted(instance, candidates), target_value, epsilon, method
+    )
 
+
+def _bicriteria(
+    instance: ScheduleInstance, prepared, target_value: float, epsilon: float, method: str
+) -> PrizeCollectingResult:
+    """:func:`prize_collecting_schedule` on an already prepared candidate pool."""
+    slot_map, costs, utility = prepared
     all_slots: set = set()
     for slots in slot_map.values():
         all_slots |= slots
@@ -177,15 +185,16 @@ def prize_collecting_exact_value(
     n = instance.n_jobs
     epsilon = min(0.5, v_min / (n * v_max))
 
-    result = prize_collecting_schedule(
-        instance, target_value, epsilon, method=method, candidates=candidates
-    )
+    # One preparation serves the bicriteria run and the top-up below.
+    prepared = _prepare_weighted(instance, candidates)
+    result = _bicriteria(instance, prepared, target_value, epsilon, method)
     if result.value >= target_value - 1e-9:
         return result
 
-    graph, slot_map, costs, utility = _prepare_weighted(instance, candidates)
+    slot_map, costs, utility = prepared
     selection = set(result.greedy.selection)
     chosen = list(result.greedy.chosen)
+    chosen_set = set(chosen)
     top_ups: List[AwakeInterval] = []
     value = result.value
     total_cost = result.cost
@@ -195,7 +204,7 @@ def prize_collecting_exact_value(
         best_iv = None
         best_cost = math.inf
         for iv, slots in slot_map.items():
-            if iv in chosen or slots <= selection:
+            if iv in chosen_set or slots <= selection:
                 continue
             gain = utility.value(frozenset(selection | slots)) - value
             if gain > 1e-12 and costs[iv] < best_cost:
@@ -206,6 +215,7 @@ def prize_collecting_exact_value(
             )
         selection |= slot_map[best_iv]
         chosen.append(best_iv)
+        chosen_set.add(best_iv)
         top_ups.append(best_iv)
         total_cost += costs[best_iv]
         value = utility.value(frozenset(selection))

@@ -28,7 +28,7 @@ from repro.core.submodular import SetFunction
 from repro.errors import InvalidInstanceError
 from repro.matching.graph import BipartiteGraph
 from repro.matching.hopcroft_karp import hopcroft_karp
-from repro.matching.weighted import max_weight_matching, weighted_matching_value
+from repro.matching.incremental import WeightedMatchingUtility
 from repro.online.arrivals import ArrivalSchedule, build_arrival_schedule
 from repro.online.driver import OnlineRun
 from repro.online.policies import SegmentedSubmodularPolicy
@@ -107,7 +107,9 @@ class ProcessorUtility(SetFunction):
         self.market = market
         self._graph = market.graph()
         self.weighted = weighted
-        self._values = {job.id: job.value for job in market.jobs}
+        self._weighted = WeightedMatchingUtility(
+            self._graph, {job.id: job.value for job in market.jobs}
+        ) if weighted else None
 
     @property
     def ground_set(self) -> FrozenSet[Hashable]:
@@ -118,8 +120,8 @@ class ProcessorUtility(SetFunction):
         for proc in subset:
             slots |= self.market.slots_of(proc)
         allowed = frozenset(slots) & self._graph.left
-        if self.weighted:
-            return weighted_matching_value(self._graph, self._values, allowed)
+        if self._weighted is not None:
+            return self._weighted.value(allowed)
         return float(len(hopcroft_karp(self._graph, allowed)))
 
 
@@ -175,7 +177,7 @@ def online_processor_selection(
         slots |= market.slots_of(proc)
     allowed = frozenset(slots) & utility._graph.left
     if weighted:
-        matching = max_weight_matching(utility._graph, utility._values, allowed)
+        matching = utility._weighted.best_matching(allowed)
     else:
         matching = hopcroft_karp(utility._graph, allowed)
     assignment = {job: slot for slot, job in matching.left_to_right.items()}
